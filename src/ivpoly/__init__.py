@@ -9,27 +9,11 @@ the verify module re-derives each published table entry and identity from
 independent brute-force routes.
 """
 
-from .binomial_poly import (
-    BinomialPoly,
-    MonomialPoly,
-    basis,
-    from_monomial,
-    from_values,
-    to_monomial,
-)
-from .constants import (
-    c_first,
-    c_table,
-    lambda_lcm_c,
-    lambda_product,
-    q_direct,
-    q_table,
-    q_total,
-)
+from .binomial_poly import BinomialPoly, MonomialPoly, basis, from_values
+from .constants import c_table, lambda_product, q_direct, q_table
 from .exact_arith import (
     EnumerationCapError,
     PrimeFactorization,
-    denominator_of,
     lcm_list,
     lcm_range,
     primes_up_to,
@@ -72,19 +56,15 @@ __all__ = [
     "StirlingTable",
     "VerifyConfig",
     "basis",
-    "c_first",
     "c_table",
     "compositions",
     "d_table",
-    "denominator_of",
     "f_direct",
     "f_from_partial_sums",
     "f_from_stirling",
     "f_from_subsets",
     "f_table",
-    "from_monomial",
     "from_values",
-    "lambda_lcm_c",
     "lambda_product",
     "lcm_list",
     "lcm_range",
@@ -92,11 +72,9 @@ __all__ = [
     "primes_up_to",
     "q_direct",
     "q_table",
-    "q_total",
     "run_all",
     "run_check",
     "stirling_first",
-    "to_monomial",
     "vp_int",
     "vp_rat",
 ]

@@ -186,11 +186,3 @@ def from_values(values: Sequence[Fraction | int]) -> BinomialPoly:
         coeffs.append(diffs[0])
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     return BinomialPoly(coeffs)
-
-
-def to_monomial(p: BinomialPoly) -> MonomialPoly:
-    return p.to_monomial()
-
-
-def from_monomial(q: MonomialPoly) -> BinomialPoly:
-    return q.to_binomial()

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 enumeration cap exceeded. Set IVPOLY_ENUM_CAP to raise or lower the
-brute-force caps.
+brute-force caps, the theorem3 witness cap among them.
 """
 
 from __future__ import annotations
@@ -159,11 +159,20 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # lambda(n) passes Python's 4300-digit int -> str limit from n = 1725, and
+    # lcm(1..n) from n = 9859. Lift it only once the arguments are parsed, so
+    # an absurdly long --max-n stays a usage error. Python < 3.10.7 has none.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args, parser)
     except EnumerationCapError as error:
         print(f"ivpoly: error: {error}", file=sys.stderr)
         return 3
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

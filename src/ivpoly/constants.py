@@ -12,13 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .exact_arith import (
-    EnumerationCapError,
-    PrimeFactorization,
-    lcm_list,
-    lcm_range,
-    primes_up_to,
-)
+from .exact_arith import EnumerationCapError, PrimeFactorization, lcm_list, primes_up_to
 from .stirling import compositions
 from .triangles import IntegerTriangle
 
@@ -42,11 +36,6 @@ def c_table(max_n: int, d: IntegerTriangle) -> IntegerTriangle:
                 row.append(math.lcm(rows[n - 1][k], d[n, k]))
         rows.append(row)
     return IntegerTriangle(rows, label="c-table")
-
-
-def c_first(n: int) -> int:
-    """The first-derivative multiplier c(n, 1) in closed form: lcm(1..n)."""
-    return lcm_range(n)
 
 
 def q_table(max_n: int) -> IntegerTriangle:
@@ -79,16 +68,6 @@ def q_direct(n: int, k: int, cap: int | None = None) -> int:
         for parts in compositions(m, k):
             out = math.lcm(out, math.prod(parts))
     return out
-
-
-def q_total(n: int, q: IntegerTriangle) -> int:
-    """lcm of row n of the q-table."""
-    return lcm_list(q.row(n))
-
-
-def lambda_lcm_c(n: int, c: IntegerTriangle) -> int:
-    """lambda(n) as the lcm of row n of the c-table."""
-    return lcm_list(c.row(n))
 
 
 def lambda_product(n: int) -> PrimeFactorization:

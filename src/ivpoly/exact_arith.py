@@ -86,11 +86,6 @@ def lcm_range(n: int) -> int:
     return math.lcm(*range(2, n + 1))
 
 
-def denominator_of(r: Fraction | int) -> int:
-    """Smallest positive d with d*r an integer; den(0) = 1."""
-    return Fraction(r).denominator
-
-
 def primes_up_to(n: int) -> list[int]:
     """Strictly increasing list of all primes <= n (sieve); n < 2 gives []."""
     if n < 2:

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from .exact_arith import EnumerationCapError, denominator_of
+from .exact_arith import EnumerationCapError
 from .triangles import IntegerTriangle, RationalTriangle, StirlingTable
 
 # Direct enumeration walks all C(n-1, k-1) compositions per entry, so it is
@@ -138,6 +138,6 @@ def f_from_partial_sums(n: int, k: int, table: RationalTriangle) -> Fraction:
 def d_table(f: RationalTriangle) -> IntegerTriangle:
     """Elementwise denominators of the F triangle (den of 0 and 1 is 1)."""
     return IntegerTriangle(
-        [[denominator_of(entry) for entry in row] for row in f.rows],
+        [[entry.denominator for entry in row] for row in f.rows],
         label="d-table",
     )

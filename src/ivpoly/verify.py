@@ -3,8 +3,10 @@
 Every check recomputes its claim through an independent route (enumeration,
 interpolation, or the monomial power rule) and reports the first
 counterexample on failure, so a run doubles as a certificate at the
-configured ranges. Ranges live in VerifyConfig; nothing here is randomized,
-hence two runs with the same config produce identical reports.
+configured ranges. Ranges live in VerifyConfig, one ``<check>_<param>``
+field per keyword of the check function; the tables and oracle values the
+checks share live in one Tables context. Nothing here is randomized, hence
+two runs with the same config produce identical reports.
 """
 
 from __future__ import annotations
@@ -13,18 +15,10 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .binomial_poly import basis, from_values
-from .constants import (
-    c_table,
-    lambda_lcm_c,
-    lambda_product,
-    q_direct,
-    q_table,
-    q_total,
-)
-from .exact_arith import EnumerationCapError, denominator_of, lcm_range, vp_int, vp_rat
+from .constants import c_table, lambda_product, q_direct, q_table
+from .exact_arith import EnumerationCapError, lcm_list, lcm_range, vp_int, vp_rat
 from .stirling import (
     compositions,
     d_table,
@@ -40,6 +34,9 @@ from .triangles import IntegerTriangle, RationalTriangle, StirlingTable
 # The oracle differentiates every basis polynomial up to degree n in the
 # monomial basis; cost grows quickly enough to warrant a cap.
 DEFAULT_ORACLE_CAP = 14
+# The theorem3 witness loop interpolates one product per composition with
+# sum <= n; its cost grows about 4.7x per +2.
+DEFAULT_WITNESS_CAP = 14
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,12 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Named ranges for every check; defaults keep the full suite fast."""
+    """Named ranges for every check; defaults keep the full suite fast.
+
+    Each field ``<check>_<param>`` is the keyword ``param`` of that check, and
+    the ``max_*`` ones are its ranges. The two caps configure the Tables
+    context the checks share.
+    """
 
     theorem1_max_n: int = 12
     theorem2_oracle_max_n: int = 12
@@ -90,27 +92,68 @@ class VerifyConfig:
 
     def with_max_n(self, n: int, check: str | None = None) -> "VerifyConfig":
         """Rewrite the range fields of one check (or of all checks)."""
-        if check is None:
-            names = [f for fields in _RANGE_FIELDS.values() for f in fields]
-        else:
-            names = list(_RANGE_FIELDS[check])
-        return dataclasses.replace(self, **{name: n for name in names})
+        checks = CHECK_NAMES if check is None else (check,)
+        return dataclasses.replace(
+            self,
+            **{f"{c}_{p}": n for c in checks for p in _CHECK_PARAMS[c] if "max_" in p},
+        )
 
 
-_RANGE_FIELDS: dict[str, tuple[str, ...]] = {
-    "corollary1": ("corollary1_max_n",),
-    "lemma1": ("lemma1_max_n",),
-    "lemma2": ("lemma2_max_a",),
-    "lemma3": ("lemma3_max_n",),
-    "proposition1": ("proposition1_max_n",),
-    "proposition2": ("proposition2_max_n",),
-    "theorem1": ("theorem1_max_n",),
-    "theorem2": ("theorem2_oracle_max_n", "theorem2_divisibility_max_n"),
-    "theorem3": ("theorem3_divisibility_max_n", "theorem3_witness_max_n"),
-    "theorem4": ("theorem4_routes_max_n", "theorem4_oracle_max_n"),
-}
+_CHECK_PARAMS: dict[str, list[str]] = {}
+for _field in dataclasses.fields(VerifyConfig):
+    if _field.name not in ("oracle_cap", "enum_cap"):
+        _check, _param = _field.name.split("_", 1)
+        _CHECK_PARAMS.setdefault(_check, []).append(_param)
 
-CHECK_NAMES: tuple[str, ...] = tuple(sorted(_RANGE_FIELDS))
+CHECK_NAMES: tuple[str, ...] = tuple(sorted(_CHECK_PARAMS))
+
+
+class Tables:
+    """The F, Stirling, c and q tables and the oracle values checks share.
+
+    A table is built the first time a check asks for it and rebuilt only when
+    a later check needs more rows. Tables passed in are used as they are
+    while they cover the rows asked for (fault injection in the tests).
+    """
+
+    def __init__(
+        self,
+        oracle_cap: int = DEFAULT_ORACLE_CAP,
+        enum_cap: int | None = None,
+        *,
+        f: RationalTriangle | None = None,
+        s: StirlingTable | None = None,
+        c: IntegerTriangle | None = None,
+        q: IntegerTriangle | None = None,
+    ):
+        self.oracle_cap = oracle_cap
+        self.enum_cap = enum_cap
+        self._tables = {"f": f, "s": s, "c": c, "q": q}
+        self._oracle: dict[tuple[int, int], int] = {}
+
+    def _grow(self, kind: str, max_n: int, build):
+        table = self._tables[kind]
+        if table is None or table.max_n < max_n:
+            table = self._tables[kind] = build(max_n)
+        return table
+
+    def f(self, max_n: int) -> RationalTriangle:
+        return self._grow("f", max_n, f_table)
+
+    def stirling(self, max_n: int) -> StirlingTable:
+        return self._grow("s", max_n, stirling_first)
+
+    def c(self, max_n: int) -> IntegerTriangle:
+        return self._grow("c", max_n, lambda n: c_table(n, d_table(self.f(n))))
+
+    def q(self, max_n: int) -> IntegerTriangle:
+        return self._grow("q", max_n, q_table)
+
+    def oracle(self, n: int, k: int) -> int:
+        """minimal_multiplier_oracle(n, k) under the oracle cap, memoised."""
+        if (n, k) not in self._oracle:
+            self._oracle[n, k] = minimal_multiplier_oracle(n, k, cap=self.oracle_cap)
+        return self._oracle[n, k]
 
 
 def _fail(name: str, tested: str, params: str, lhs, rhs) -> CheckReport:
@@ -140,11 +183,12 @@ def minimal_multiplier_oracle(n: int, k: int, cap: int = DEFAULT_ORACLE_CAP) -> 
     return out
 
 
-def check_theorem1(max_n: int = 12, oracle_cap: int = DEFAULT_ORACLE_CAP) -> CheckReport:
+def check_theorem1(max_n: int, tables: Tables | None = None) -> CheckReport:
     """Oracle for the first derivative equals lcm(1..n)."""
+    tables = tables or Tables()
     name, tested = "theorem1", f"1 <= n <= {max_n}"
     for n in range(1, max_n + 1):
-        lhs = minimal_multiplier_oracle(n, 1, cap=oracle_cap)
+        lhs = tables.oracle(n, 1)
         rhs = lcm_range(n)
         if lhs != rhs:
             return _fail(name, tested, f"n={n}", f"oracle={lhs}", f"lcm(1..n)={rhs}")
@@ -152,23 +196,17 @@ def check_theorem1(max_n: int = 12, oracle_cap: int = DEFAULT_ORACLE_CAP) -> Che
 
 
 def check_theorem2(
-    oracle_max_n: int = 12,
-    divisibility_max_n: int = 20,
-    c: IntegerTriangle | None = None,
-    q: IntegerTriangle | None = None,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
+    oracle_max_n: int, divisibility_max_n: int, tables: Tables | None = None
 ) -> CheckReport:
     """c-table equals the oracle, and c(n, k) divides q(n, k)."""
+    tables = tables or Tables()
     name = "theorem2"
     tested = f"oracle equality for n <= {oracle_max_n}; divisibility for n <= {divisibility_max_n}"
     hi = max(oracle_max_n, divisibility_max_n)
-    if c is None:
-        c = c_table(hi, d_table(f_table(hi)))
-    if q is None:
-        q = q_table(hi)
+    c, q = tables.c(hi), tables.q(hi)
     for n in range(oracle_max_n + 1):
         for k in range(n + 1):
-            want = minimal_multiplier_oracle(n, k, cap=oracle_cap)
+            want = tables.oracle(n, k)
             if c[n, k] != want:
                 return _fail(name, tested, f"n={n}, k={k}", f"c={c[n, k]}", f"oracle={want}")
     for n in range(divisibility_max_n + 1):
@@ -181,11 +219,7 @@ def check_theorem2(
 
 
 def check_theorem3(
-    divisibility_max_n: int = 20,
-    witness_max_n: int = 10,
-    c: IntegerTriangle | None = None,
-    q: IntegerTriangle | None = None,
-    f: RationalTriangle | None = None,
+    divisibility_max_n: int, witness_max_n: int, tables: Tables | None = None
 ) -> CheckReport:
     """q(n, k) divides k! * c(n, k); witness products certify the bound.
 
@@ -193,20 +227,19 @@ def check_theorem3(
     polynomials C(X, i_1) * ... * C(X, i_k) is rebuilt by evaluation at
     0..m and forward-difference interpolation; its k-th derivative at 0 must
     equal (-1)**(m-k) * k! / (i_1 * ... * i_k), whose denominator must
-    divide k! * c(m, k).
+    divide k! * c(m, k). The witness range obeys the enumeration cap.
     """
+    tables = tables or Tables()
+    cap = DEFAULT_WITNESS_CAP if tables.enum_cap is None else tables.enum_cap
+    if witness_max_n > cap:
+        raise EnumerationCapError("theorem3 witness compositions", witness_max_n, cap)
     name = "theorem3"
     tested = (
         f"divisibility for n <= {divisibility_max_n}; "
         f"witness compositions with sum <= {witness_max_n}"
     )
     hi = max(divisibility_max_n, witness_max_n)
-    if c is None:
-        c = c_table(hi, d_table(f_table(hi)))
-    if q is None:
-        q = q_table(hi)
-    if f is None:
-        f = f_table(witness_max_n)
+    c, q, f = tables.c(hi), tables.q(hi), tables.f(witness_max_n)
     for n in range(divisibility_max_n + 1):
         for k in range(n + 1):
             if (math.factorial(k) * c[n, k]) % q[n, k] != 0:
@@ -224,33 +257,27 @@ def check_theorem3(
                     return _fail(
                         name, tested, f"parts={parts}", f"derivative(0)={witness}", f"expected={want}"
                     )
-                if (math.factorial(k) * c[m, k]) % denominator_of(witness) != 0:
+                if (math.factorial(k) * c[m, k]) % witness.denominator != 0:
                     return _fail(
                         name, tested, f"parts={parts}",
-                        f"den={denominator_of(witness)}",
+                        f"den={witness.denominator}",
                         f"k!*c={math.factorial(k) * c[m, k]} not a multiple",
                     )
     return CheckReport(name, tested, True)
 
 
 def check_theorem4(
-    routes_max_n: int = 30,
-    oracle_max_n: int = 12,
-    c: IntegerTriangle | None = None,
-    q: IntegerTriangle | None = None,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
+    routes_max_n: int, oracle_max_n: int, tables: Tables | None = None
 ) -> CheckReport:
     """The three lambda routes agree; the oracle lcm reproduces them."""
+    tables = tables or Tables()
     name = "theorem4"
     tested = f"three routes for n <= {routes_max_n}; oracle lcm for n <= {oracle_max_n}"
     hi = max(routes_max_n, oracle_max_n)
-    if c is None:
-        c = c_table(hi, d_table(f_table(hi)))
-    if q is None:
-        q = q_table(hi)
+    c, q = tables.c(hi), tables.q(hi)
     for n in range(routes_max_n + 1):
-        via_c = lambda_lcm_c(n, c)
-        via_q = q_total(n, q)
+        via_c = lcm_list(c.row(n))
+        via_q = lcm_list(q.row(n))
         via_primes = lambda_product(n).value()
         if not via_c == via_q == via_primes:
             return _fail(
@@ -259,21 +286,17 @@ def check_theorem4(
                 f"lcm(q row)={via_q}, prime product={via_primes}",
             )
     for n in range(oracle_max_n + 1):
-        via_oracle = 1
-        for k in range(n + 1):
-            via_oracle = math.lcm(via_oracle, minimal_multiplier_oracle(n, k, cap=oracle_cap))
-        if via_oracle != lambda_lcm_c(n, c):
-            return _fail(
-                name, tested, f"n={n}", f"oracle lcm={via_oracle}", f"lcm(c row)={lambda_lcm_c(n, c)}"
-            )
+        via_oracle = lcm_list(tables.oracle(n, k) for k in range(n + 1))
+        via_c = lcm_list(c.row(n))
+        if via_oracle != via_c:
+            return _fail(name, tested, f"n={n}", f"oracle lcm={via_oracle}", f"lcm(c row)={via_c}")
     return CheckReport(name, tested, True)
 
 
-def check_lemma1(max_n: int = 16, f: RationalTriangle | None = None) -> CheckReport:
+def check_lemma1(max_n: int, tables: Tables | None = None) -> CheckReport:
     """Mean of reciprocal absolute slopes of C(X, n) at 0..n-1 is 2**(n-1)."""
+    f = (tables or Tables()).f(max_n)
     name, tested = "lemma1", f"1 <= n <= {max_n}"
-    if f is None:
-        f = f_table(max_n)
     for n in range(1, max_n + 1):
         slope = basis(n).derivative(1, f)
         total = Fraction(0)
@@ -287,7 +310,7 @@ def check_lemma1(max_n: int = 16, f: RationalTriangle | None = None) -> CheckRep
     return CheckReport(name, tested, True)
 
 
-def check_corollary1(max_n: int = 64) -> CheckReport:
+def check_corollary1(max_n: int, tables: Tables | None = None) -> CheckReport:
     """lcm(1..n) >= 2**(n-1)."""
     name, tested = "corollary1", f"1 <= n <= {max_n}"
     for n in range(1, max_n + 1):
@@ -296,7 +319,9 @@ def check_corollary1(max_n: int = 64) -> CheckReport:
     return CheckReport(name, tested, True)
 
 
-def check_lemma2(max_a: int = 10_000, primes: tuple[int, ...] = (2, 3, 5, 7)) -> CheckReport:
+def check_lemma2(
+    max_a: int, primes: tuple[int, ...], tables: Tables | None = None
+) -> CheckReport:
     """vp(a) <= a / p, exhaustively."""
     name, tested = "lemma2", f"1 <= a <= {max_a}, p in {primes}"
     for p in primes:
@@ -307,14 +332,11 @@ def check_lemma2(max_a: int = 10_000, primes: tuple[int, ...] = (2, 3, 5, 7)) ->
 
 
 def check_lemma3(
-    max_n: int = 30,
-    primes: tuple[int, ...] = (2, 3, 5),
-    f: RationalTriangle | None = None,
+    max_n: int, primes: tuple[int, ...], tables: Tables | None = None
 ) -> CheckReport:
     """The p-adic valuation of F(k*p, k) is exactly -k."""
+    f = (tables or Tables()).f(max_n)
     name, tested = "lemma3", f"k*p <= {max_n}, p in {primes}"
-    if f is None:
-        f = f_table(max_n)
     for p in primes:
         k = 1
         while k * p <= max_n:
@@ -325,24 +347,17 @@ def check_lemma3(
     return CheckReport(name, tested, True)
 
 
-def cross_check_f(
-    max_n: int = 14,
-    f: RationalTriangle | None = None,
-    s: StirlingTable | None = None,
-    enum_cap: int | None = None,
-) -> CheckReport:
+def cross_check_f(max_n: int, tables: Tables | None = None) -> CheckReport:
     """All F routes agree entrywise, including both derivative-at-0 routes."""
+    tables = tables or Tables()
     name, tested = "proposition1", f"0 <= k <= n <= {max_n}"
-    if f is None:
-        f = f_table(max_n)
-    if s is None:
-        s = stirling_first(max_n)
+    f, s, cap = tables.f(max_n), tables.stirling(max_n), tables.enum_cap
     for n in range(max_n + 1):
         mono = basis(n).to_monomial()
         for k in range(n + 1):
             base = f[n, k]
             routes: list[tuple[str, Fraction]] = [
-                ("direct", f_direct(n, k, cap=enum_cap)),
+                ("direct", f_direct(n, k, cap=cap)),
                 ("stirling", f_from_stirling(n, k, s)),
                 ("power rule at 0", abs(mono.derivative(k).eval(0))),
                 (
@@ -351,7 +366,7 @@ def cross_check_f(
                 ),
             ]
             if k >= 2:
-                routes.append(("subsets", f_from_subsets(n, k, cap=enum_cap)))
+                routes.append(("subsets", f_from_subsets(n, k, cap=cap)))
             if k >= 1:
                 routes.append(("partial sums", f_from_partial_sums(n, k, f)))
             for label, value in routes:
@@ -362,56 +377,35 @@ def cross_check_f(
     return CheckReport(name, tested, True)
 
 
-def check_proposition2(
-    max_n: int = 14,
-    q: IntegerTriangle | None = None,
-    enum_cap: int | None = None,
-) -> CheckReport:
+def check_proposition2(max_n: int, tables: Tables | None = None) -> CheckReport:
     """The q recurrence matches brute-force enumeration."""
+    tables = tables or Tables()
     name, tested = "proposition2", f"0 <= k <= n <= {max_n}"
-    if q is None:
-        q = q_table(max_n)
+    q = tables.q(max_n)
     for n in range(max_n + 1):
         for k in range(n + 1):
-            want = q_direct(n, k, cap=enum_cap)
+            want = q_direct(n, k, cap=tables.enum_cap)
             if q[n, k] != want:
                 return _fail(name, tested, f"n={n}, k={k}", f"table={q[n, k]}", f"enumeration={want}")
     return CheckReport(name, tested, True)
 
 
+def _run(name: str, config: VerifyConfig, tables: Tables) -> CheckReport:
+    if name not in CHECK_NAMES:
+        raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+    # Looked up by name at call time, so a wrapped module attribute is seen.
+    check = globals()["cross_check_f" if name == "proposition1" else f"check_{name}"]
+    params = {p: getattr(config, f"{name}_{p}") for p in _CHECK_PARAMS[name]}
+    return check(**params, tables=tables)
+
+
 def run_check(name: str, config: VerifyConfig = VerifyConfig()) -> CheckReport:
     """Run one named check with the configured ranges."""
-    dispatch: dict[str, Callable[[], CheckReport]] = {
-        "theorem1": lambda: check_theorem1(config.theorem1_max_n, config.oracle_cap),
-        "theorem2": lambda: check_theorem2(
-            config.theorem2_oracle_max_n,
-            config.theorem2_divisibility_max_n,
-            oracle_cap=config.oracle_cap,
-        ),
-        "theorem3": lambda: check_theorem3(
-            config.theorem3_divisibility_max_n, config.theorem3_witness_max_n
-        ),
-        "theorem4": lambda: check_theorem4(
-            config.theorem4_routes_max_n,
-            config.theorem4_oracle_max_n,
-            oracle_cap=config.oracle_cap,
-        ),
-        "lemma1": lambda: check_lemma1(config.lemma1_max_n),
-        "lemma2": lambda: check_lemma2(config.lemma2_max_a, config.lemma2_primes),
-        "lemma3": lambda: check_lemma3(config.lemma3_max_n, config.lemma3_primes),
-        "corollary1": lambda: check_corollary1(config.corollary1_max_n),
-        "proposition1": lambda: cross_check_f(
-            config.proposition1_max_n, enum_cap=config.enum_cap
-        ),
-        "proposition2": lambda: check_proposition2(
-            config.proposition2_max_n, enum_cap=config.enum_cap
-        ),
-    }
-    if name not in dispatch:
-        raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-    return dispatch[name]()
+    return _run(name, config, Tables(config.oracle_cap, config.enum_cap))
 
 
 def run_all(config: VerifyConfig = VerifyConfig()) -> list[CheckReport]:
-    """Every check at its configured range, sorted by check name."""
-    return [run_check(name, config) for name in CHECK_NAMES]
+    """Every check at its configured range, sorted by check name, all
+    sharing one Tables context."""
+    tables = Tables(config.oracle_cap, config.enum_cap)
+    return [_run(name, config, tables) for name in CHECK_NAMES]

@@ -10,9 +10,7 @@ from ivpoly import (
     MonomialPoly,
     basis,
     f_table,
-    from_monomial,
     from_values,
-    to_monomial,
 )
 
 F12 = f_table(12)
@@ -92,7 +90,7 @@ def test_is_integer_valued():
     assert all(basis(n).is_integer_valued() for n in range(9))
     assert not basis(2).derivative(1, F12).is_integer_valued()
     # X(X+1)/2 has a fractional monomial form but integer basis coefficients
-    triangular = from_monomial(MonomialPoly([0, Fraction(1, 2), Fraction(1, 2)]))
+    triangular = MonomialPoly([0, Fraction(1, 2), Fraction(1, 2)]).to_binomial()
     assert triangular.is_integer_valued()
 
 
@@ -102,8 +100,8 @@ def test_from_values_interpolates():
 
 
 def test_monomial_round_trip_examples():
-    assert from_monomial(MonomialPoly([0, 1])) == basis(1)
-    assert to_monomial(basis(2)).coeffs == (Fraction(0), Fraction(-1, 2), Fraction(1, 2))
+    assert MonomialPoly([0, 1]).to_binomial() == basis(1)
+    assert basis(2).to_monomial().coeffs == (Fraction(0), Fraction(-1, 2), Fraction(1, 2))
 
 
 @given(coefficients)

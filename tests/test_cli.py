@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 import ivpoly.cli as cli
-from ivpoly import f_table
+from ivpoly import f_table, lambda_product
 from ivpoly.verify import CheckReport, Counterexample
 from golden import GOLDEN_C, GOLDEN_LAMBDA, GOLDEN_Q
 
@@ -95,6 +97,18 @@ def test_seq_lambda_json(capsys):
     assert json.loads(out) == [str(v) for v in GOLDEN_LAMBDA]
 
 
+def test_seq_lambda_past_the_int_str_digit_limit(capsys):
+    # lambda(1725) has 4302 digits, over Python's default int -> str limit;
+    # Decimal parses and compares it without that limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out = run_cli(capsys, "seq", "lambda", "--max-n", "1725")
+    assert code == 0
+    last = out.splitlines()[-1]
+    assert len(last) == 4302
+    assert Decimal(last) == lambda_product(1725).value()
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_seq_cn(capsys):
     _, out = run_cli(capsys, "seq", "cn", "--max-n", "6")
     assert out.splitlines() == ["1", "1", "2", "6", "12", "60", "60"]
@@ -143,6 +157,17 @@ def test_verify_cap_exceeded_exits_three(capsys):
     assert code == 3
 
 
+def test_theorem3_witness_cap_exits_three(capsys, monkeypatch):
+    start = time.perf_counter()
+    assert cli.main(["verify", "theorem3", "--max-n", "15"]) == 3
+    assert time.perf_counter() - start < 5.0
+    monkeypatch.setenv("IVPOLY_ENUM_CAP", "10")
+    assert cli.main(["verify", "theorem3", "--max-n", "11"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("n = 11 exceeds the enumeration cap 10\n")
+
+
 def test_env_cap_is_honored(capsys, monkeypatch):
     monkeypatch.setenv("IVPOLY_ENUM_CAP", "5")
     assert cli.main(["verify", "proposition2", "--max-n", "6"]) == 3
@@ -160,6 +185,13 @@ def test_env_cap_is_honored(capsys, monkeypatch):
         ["table", "c", "--max-n", "-1"],
         ["seq", "cn", "--factored"],
         ["verify", "nosuch"],
+        pytest.param(
+            ["seq", "lambda", "--max-n", "9" * 5000],
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "set_int_max_str_digits"),
+                reason="this Python parses integers of any length",
+            ),
+        ),
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):

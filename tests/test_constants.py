@@ -4,16 +4,14 @@ import pytest
 
 from ivpoly import (
     EnumerationCapError,
-    c_first,
     c_table,
     d_table,
     f_table,
-    lambda_lcm_c,
     lambda_product,
+    lcm_list,
     lcm_range,
     q_direct,
     q_table,
-    q_total,
 )
 from golden import GOLDEN_C, GOLDEN_LAMBDA, GOLDEN_Q
 
@@ -43,9 +41,9 @@ def test_c_table_needs_covering_d():
 
 
 def test_c_first():
-    assert c_first(7) == 420
-    assert c_first(0) == 1
-    assert c_first(9) == 2520
+    assert lcm_range(7) == 420
+    assert lcm_range(0) == 1
+    assert lcm_range(9) == 2520
 
 
 def test_c_first_column_agreement(c20):
@@ -84,15 +82,15 @@ def test_q_direct_matches_table(q20):
 
 
 def test_q_total(q20):
-    assert q_total(6, q20) == 360
-    assert q_total(0, q20) == 1
-    assert q_total(10, q20) == 151200
+    assert lcm_list(q20.row(6)) == 360
+    assert lcm_list(q20.row(0)) == 1
+    assert lcm_list(q20.row(10)) == 151200
 
 
 def test_lambda_lcm_c(c20):
-    assert lambda_lcm_c(10, c20) == 151200
-    assert lambda_lcm_c(7, c20) == 2520
-    assert lambda_lcm_c(0, c20) == 1
+    assert lcm_list(c20.row(10)) == 151200
+    assert lcm_list(c20.row(7)) == 2520
+    assert lcm_list(c20.row(0)) == 1
 
 
 def test_lambda_product():
@@ -107,8 +105,8 @@ def test_lambda_product():
 
 def test_lambda_sequence_matches_golden(c20, q20):
     for n, expected in enumerate(GOLDEN_LAMBDA):
-        assert lambda_lcm_c(n, c20) == expected
-        assert q_total(n, q20) == expected
+        assert lcm_list(c20.row(n)) == expected
+        assert lcm_list(q20.row(n)) == expected
         assert lambda_product(n).value() == expected
 
 
@@ -117,7 +115,7 @@ def test_three_lambda_routes_agree_up_to_30():
     c = c_table(30, d_table(f))
     q = q_table(30)
     for n in range(31):
-        assert lambda_lcm_c(n, c) == q_total(n, q) == lambda_product(n).value()
+        assert lcm_list(c.row(n)) == lcm_list(q.row(n)) == lambda_product(n).value()
     for n in range(1, 31):
         assert c[n, 1] == lcm_range(n)
 

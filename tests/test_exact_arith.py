@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ivpoly import (
     PrimeFactorization,
-    denominator_of,
     lcm_list,
     lcm_range,
     primes_up_to,
@@ -106,10 +105,10 @@ def test_lcm_range_grows_only_at_prime_powers():
 
 
 def test_denominator_of():
-    assert denominator_of(Fraction(11, 12)) == 12
-    assert denominator_of(Fraction(0)) == 1
-    assert denominator_of(7) == 1
-    assert denominator_of(Fraction(-3, 6)) == 2
+    assert Fraction(11, 12).denominator == 12
+    assert Fraction(0).denominator == 1
+    assert (7).denominator == 1
+    assert Fraction(-3, 6).denominator == 2
 
 
 def test_primes_up_to():
@@ -173,7 +172,7 @@ def test_vp_rat_is_additive(r, s, p):
 
 @given(st.fractions(min_value=Fraction(-30), max_value=Fraction(30), max_denominator=48))
 def test_denominator_is_minimal(r):
-    d = denominator_of(r)
+    d = r.denominator
     assert (d * r).denominator == 1
     for smaller in range(1, d):
         if d % smaller == 0:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import ivpoly.cli as cli
 import ivpoly.verify as verify
 from ivpoly import (
     EnumerationCapError,
@@ -16,7 +17,35 @@ from ivpoly import (
     run_all,
     run_check,
 )
-from ivpoly.verify import CheckReport
+from ivpoly.verify import CHECK_NAMES, CheckReport, Tables
+
+# The exact stdout of `ivpoly verify all` at the default config.
+GOLDEN_VERIFY_ALL = """\
+corollary1: pass [1 <= n <= 64]
+lemma1: pass [1 <= n <= 16]
+lemma2: pass [1 <= a <= 10000, p in (2, 3, 5, 7)]
+lemma3: pass [k*p <= 30, p in (2, 3, 5)]
+proposition1: pass [0 <= k <= n <= 14]
+proposition2: pass [0 <= k <= n <= 14]
+theorem1: pass [1 <= n <= 12]
+theorem2: pass [oracle equality for n <= 12; divisibility for n <= 20]
+theorem3: pass [divisibility for n <= 20; witness compositions with sum <= 10]
+theorem4: pass [three routes for n <= 30; oracle lcm for n <= 12]
+"""
+
+SMALL_CONFIG = VerifyConfig(
+    theorem2_oracle_max_n=6,
+    theorem2_divisibility_max_n=8,
+    theorem3_divisibility_max_n=8,
+    theorem3_witness_max_n=6,
+    theorem4_routes_max_n=10,
+    theorem4_oracle_max_n=6,
+    lemma1_max_n=8,
+    lemma2_max_a=500,
+    lemma3_max_n=12,
+    proposition1_max_n=8,
+    proposition2_max_n=8,
+)
 
 
 def _with_entry(triangle, n, k, value):
@@ -77,10 +106,10 @@ class TestChecksPass:
         assert verify.check_lemma1(10).passed
 
     def test_lemma2(self):
-        assert verify.check_lemma2(2000).passed
+        assert verify.check_lemma2(2000, (2, 3, 5, 7)).passed
 
     def test_lemma3(self):
-        assert verify.check_lemma3(20).passed
+        assert verify.check_lemma3(20, (2, 3, 5)).passed
 
     def test_corollary1(self):
         assert verify.check_corollary1(64).passed
@@ -103,25 +132,25 @@ class TestChecksCanFail:
 
     def test_theorem2(self, small_tables):
         _, c, q = small_tables
-        report = verify.check_theorem2(6, 6, c=_with_entry(c, 4, 2, 7), q=q)
+        report = verify.check_theorem2(6, 6, tables=Tables(c=_with_entry(c, 4, 2, 7), q=q))
         assert not report.passed
         assert "n=4, k=2" in report.counterexample.params
 
     def test_theorem3(self, small_tables):
         f, c, q = small_tables
-        report = verify.check_theorem3(6, 6, c=c, q=_with_entry(q, 2, 1, 5), f=f)
+        report = verify.check_theorem3(6, 6, tables=Tables(c=c, q=_with_entry(q, 2, 1, 5), f=f))
         assert not report.passed
         assert report.counterexample is not None
 
     def test_theorem4(self, small_tables):
         _, c, q = small_tables
-        report = verify.check_theorem4(6, 6, c=_with_entry(c, 4, 2, 7), q=q)
+        report = verify.check_theorem4(6, 6, tables=Tables(c=_with_entry(c, 4, 2, 7), q=q))
         assert not report.passed
         assert "n=4" in report.counterexample.params
 
     def test_lemma1(self, small_tables):
         f, _, _ = small_tables
-        report = verify.check_lemma1(4, f=_with_entry(f, 3, 1, Fraction(2, 3)))
+        report = verify.check_lemma1(4, tables=Tables(f=_with_entry(f, 3, 1, Fraction(2, 3))))
         assert not report.passed
         assert "n=3" in report.counterexample.params
 
@@ -132,7 +161,9 @@ class TestChecksCanFail:
 
     def test_lemma3(self, small_tables):
         f, _, _ = small_tables
-        report = verify.check_lemma3(8, f=_with_entry(f, 4, 2, Fraction(11, 13)))
+        report = verify.check_lemma3(
+            8, (2, 3, 5), tables=Tables(f=_with_entry(f, 4, 2, Fraction(11, 13)))
+        )
         assert not report.passed
         assert "k=2, p=2" in report.counterexample.params
 
@@ -143,32 +174,45 @@ class TestChecksCanFail:
 
     def test_proposition1(self, small_tables):
         f, _, _ = small_tables
-        report = verify.cross_check_f(8, f=_with_entry(f, 4, 2, Fraction(11, 13)))
+        report = verify.cross_check_f(8, tables=Tables(f=_with_entry(f, 4, 2, Fraction(11, 13))))
         assert not report.passed
         assert "n=4, k=2" in report.counterexample.params
 
     def test_proposition2(self, small_tables):
         _, _, q = small_tables
-        report = verify.check_proposition2(8, q=_with_entry(q, 4, 2, 7))
+        report = verify.check_proposition2(8, tables=Tables(q=_with_entry(q, 4, 2, 7)))
         assert not report.passed
         assert "n=4, k=2" in report.counterexample.params
 
 
 def test_reports_are_deterministic():
-    config = VerifyConfig(
-        theorem2_oracle_max_n=6,
-        theorem2_divisibility_max_n=8,
-        theorem3_divisibility_max_n=8,
-        theorem3_witness_max_n=6,
-        theorem4_routes_max_n=10,
-        theorem4_oracle_max_n=6,
-        lemma1_max_n=8,
-        lemma2_max_a=500,
-        lemma3_max_n=12,
-        proposition1_max_n=8,
-        proposition2_max_n=8,
-    )
-    assert run_all(config) == run_all(config)
+    assert run_all(SMALL_CONFIG) == run_all(SMALL_CONFIG)
+
+
+def test_shared_tables_change_no_report():
+    # run_check builds a fresh Tables context for every check.
+    assert run_all(SMALL_CONFIG) == [run_check(name, SMALL_CONFIG) for name in CHECK_NAMES]
+
+
+def test_verify_all_output_is_unchanged(capsys):
+    assert cli.main(["verify", "all"]) == 0
+    assert capsys.readouterr().out == GOLDEN_VERIFY_ALL
+
+
+def test_tables_grow_only_when_more_rows_are_needed():
+    tables = Tables()
+    small = tables.f(4)
+    assert tables.f(3) is small
+    assert tables.f(6).max_n == 6
+    assert tables.c(5) is tables.c(2)
+
+
+def test_theorem3_witness_cap():
+    with pytest.raises(EnumerationCapError):
+        verify.check_theorem3(4, 15)
+    with pytest.raises(EnumerationCapError):
+        verify.check_theorem3(4, 5, tables=Tables(enum_cap=4))
+    assert verify.check_theorem3(4, 5, tables=Tables(enum_cap=5)).passed
 
 
 def test_run_all_default_passes_and_is_sorted():
