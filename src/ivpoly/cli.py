@@ -1,8 +1,8 @@
 """Command-line front end: emit the tables and sequences, run the checks.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 enumeration cap exceeded. Set IVPOLY_ENUM_CAP to raise or lower the
-brute-force caps, the theorem3 witness cap among them.
+Exit codes: 0 success, 1 verification failure or output closed early,
+2 usage error, 3 enumeration cap exceeded. Set IVPOLY_ENUM_CAP to raise or
+lower the brute-force caps, the theorem3 witness cap among them.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Iterable, Iterator
 
-from .constants import c_table, lambda_product, q_table
-from .exact_arith import EnumerationCapError, lcm_range
+from .constants import c_table, lambda_factorizations, q_table
+from .exact_arith import EnumerationCapError, lcm_ratios, radicals
 from .stirling import d_table, f_table, stirling_first
 from .verify import CHECK_NAMES, VerifyConfig, run_all, run_check
 
@@ -102,21 +103,43 @@ def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+def _running_products(steps: Iterable[int]) -> Iterator[str]:
+    """The running products of ``steps`` as decimal strings.
+
+    ``decimal`` multiplies by a small int and converts to text in time linear
+    in the digit count, where ``str(int)`` is quadratic. The context has room
+    for any integer and traps any rounding, so a lost digit raises.
+    """
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
+
+    context = Context(prec=MAX_PREC, Emax=MAX_EMAX)
+    context.traps[Inexact] = context.traps[Rounded] = True
+    term = Decimal(1)
+    for step in steps:
+        term = context.multiply(term, step)
+        yield str(term)
+
+
 def cmd_seq(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.factored and args.kind != "lambda":
         parser.error("--factored is only available for 'seq lambda'")
-    if args.kind == "lambda":
-        factorizations = [lambda_product(n) for n in range(args.max_n + 1)]
-        if args.factored:
-            values = [str(pf) for pf in factorizations]
-        else:
-            values = [str(pf.value()) for pf in factorizations]
+    if args.factored:
+        terms = map(str, lambda_factorizations(args.max_n))
+    elif args.kind == "lambda":
+        terms = _running_products(radicals(args.max_n))
     else:
-        values = [str(lcm_range(n)) for n in range(args.max_n + 1)]
+        terms = _running_products(lcm_ratios(args.max_n))
+    # Terms are written as they come, so only one is held at a time.
+    write = sys.stdout.write
     if args.format == "json":
-        print(json.dumps(values))
+        separator = "["
+        for term in terms:
+            write(separator + json.dumps(term))
+            separator = ", "
+        write("]\n")
     else:
-        print("\n".join(values))
+        for term in terms:
+            write(term + "\n")
     return 0
 
 
@@ -159,17 +182,28 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # lambda(n) passes Python's 4300-digit int -> str limit from n = 1725, and
-    # lcm(1..n) from n = 9859. Lift it only once the arguments are parsed, so
-    # an absurdly long --max-n stays a usage error. Python < 3.10.7 has none.
+    # Table entries pass Python's 4300-digit int -> str limit at large n: the
+    # Stirling entry s(n, 1) = +-(n - 1)! has 4303 digits at n = 1560.
+    # Lift it only once the arguments are parsed, so an absurdly long --max-n
+    # stays a usage error. Python < 3.10.7 has none.
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args, parser)
+        code = args.handler(args, parser)
+        sys.stdout.flush()
+        return code
     except EnumerationCapError as error:
         print(f"ivpoly: error: {error}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader closed stdout early (say `ivpoly seq cn | head -1`).
+        # Point stdout at devnull so the flush at interpreter exit cannot
+        # raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)

@@ -5,12 +5,15 @@ of every integer-valued polynomial of degree <= n is again integer-valued; it
 equals the lcm of the k-th column of the d-table from row k down to row n.
 q(n, k) is the lcm of all part products over compositions of length k with
 sum <= n, and lambda(n) = lcm of row n of either table, with the closed form
-prod over primes p of p**(n // p).
+prod over primes p of p**(n // p). ``lambda_product`` computes one lambda(n)
+and stays the oracle; ``lambda_factorizations`` streams the whole sequence
+from one sieve.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 from .exact_arith import EnumerationCapError, PrimeFactorization, lcm_list, primes_up_to
 from .stirling import compositions
@@ -75,3 +78,15 @@ def lambda_product(n: int) -> PrimeFactorization:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return PrimeFactorization(tuple((p, n // p) for p in primes_up_to(n)))
+
+
+def lambda_factorizations(max_n: int) -> Iterator[PrimeFactorization]:
+    """lambda(0), ..., lambda(max_n) in closed form, from one sieve up to max_n."""
+    if max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    primes = primes_up_to(max_n)
+    count = 0
+    for n in range(max_n + 1):
+        if count < len(primes) and primes[count] == n:
+            count += 1
+        yield PrimeFactorization(tuple((p, n // p) for p in primes[:count]))

@@ -4,17 +4,22 @@ Python integers are arbitrary precision and ``fractions.Fraction`` keeps every
 rational reduced with a positive denominator, so nothing here ever rounds;
 these wrappers add the domain checks and conventions the rest of the package
 relies on.
+
+The sieve-based sequence helpers ``lcm_ratios`` and ``radicals`` give the
+step factors of lcm(1..n) and lambda(n) for every n up to a bound from one
+``primes_up_to`` sieve, so both sequences stream in linear time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-# Trial division stays deterministic and fast up to here; larger candidate
-# primes are rejected outright rather than probabilistically tested.
+# vp_int's trial division stays deterministic and fast up to here; larger
+# candidate primes are rejected outright rather than probabilistically tested.
 PRIMALITY_CHECK_LIMIT = 10**6
 
 
@@ -41,20 +46,23 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _require_prime(p: int) -> None:
-    if p > PRIMALITY_CHECK_LIMIT:
-        raise ValueError(
-            f"primality checking is limited to p <= {PRIMALITY_CHECK_LIMIT}, got {p}"
-        )
-    if not is_prime(p):
-        raise ValueError(f"expected a prime, got {p}")
+@functools.cache
+def _verified_prime(p: int) -> bool:
+    """is_prime(p), computed once per p: the lambda rows repeat every prime
+    row after row, and a verdict never changes."""
+    return is_prime(p)
 
 
 def vp_int(a: int, p: int) -> int:
     """Largest e such that p**e divides a, for a >= 1 and p prime."""
     if a <= 0:
         raise ValueError(f"valuation needs a positive integer, got {a}")
-    _require_prime(p)
+    if p > PRIMALITY_CHECK_LIMIT:
+        raise ValueError(
+            f"primality checking is limited to p <= {PRIMALITY_CHECK_LIMIT}, got {p}"
+        )
+    if not is_prime(p):
+        raise ValueError(f"expected a prime, got {p}")
     e = 0
     while a % p == 0:
         a //= p
@@ -99,6 +107,35 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
+def lcm_ratios(n: int) -> list[int]:
+    """Entry m is lcm_range(m) // lcm_range(m - 1): p when m is a power of a
+    prime p, and 1 otherwise. Entry 0 is 1, so the running products of the
+    list are lcm_range(0), ..., lcm_range(n)."""
+    if n < 0:
+        raise ValueError(f"lcm_ratios needs n >= 0, got {n}")
+    ratios = [1] * (n + 1)
+    for p in primes_up_to(n):
+        power = p
+        while power <= n:
+            ratios[power] = p
+            power *= p
+    return ratios
+
+
+def radicals(n: int) -> list[int]:
+    """Entry m is rad(m), the product of the primes dividing m, for 1 <= m <= n,
+    which is lambda(m) // lambda(m - 1) since the exponent m // p of p rises by
+    one exactly when p divides m. Entry 0 is 1, so the running products of the
+    list are lambda(0), ..., lambda(n)."""
+    if n < 0:
+        raise ValueError(f"radicals needs n >= 0, got {n}")
+    rads = [1] * (n + 1)
+    for p in primes_up_to(n):
+        for m in range(p, n + 1, p):
+            rads[m] *= p
+    return rads
+
+
 @dataclass(frozen=True)
 class PrimeFactorization:
     """Prime-power factorization as (prime, exponent) pairs, primes increasing.
@@ -113,7 +150,8 @@ class PrimeFactorization:
         for p, e in self.factors:
             if p <= previous:
                 raise ValueError(f"primes must be strictly increasing, got {p} after {previous}")
-            _require_prime(p)
+            if not _verified_prime(p):
+                raise ValueError(f"expected a prime, got {p}")
             if e < 1:
                 raise ValueError(f"exponents must be >= 1, got {p}^{e}")
             previous = p

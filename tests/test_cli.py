@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -6,9 +9,11 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ivpoly.cli as cli
-from ivpoly import f_table, lambda_product
+from ivpoly import f_table, lambda_product, lcm_range
 from ivpoly.verify import CheckReport, Counterexample
 from golden import GOLDEN_C, GOLDEN_LAMBDA, GOLDEN_Q
 
@@ -112,6 +117,60 @@ def test_seq_lambda_past_the_int_str_digit_limit(capsys):
 def test_seq_cn(capsys):
     _, out = run_cli(capsys, "seq", "cn", "--max-n", "6")
     assert out.splitlines() == ["1", "1", "2", "6", "12", "60", "60"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=600))
+def test_seq_terms_match_the_closed_forms(max_n):
+    # The streamed sequences against the per-n oracles, term by term.
+    def lines(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["seq", *argv, "--max-n", str(max_n)]) == 0
+        return out.getvalue().splitlines()
+
+    assert [int(line) for line in lines("cn")] == [lcm_range(n) for n in range(max_n + 1)]
+    expected = [lambda_product(n) for n in range(max_n + 1)]
+    assert [int(line) for line in lines("lambda")] == [pf.value() for pf in expected]
+    assert lines("lambda", "--factored") == [str(pf) for pf in expected]
+
+
+@pytest.mark.parametrize(
+    "kind, max_n, budget_s, oracle",
+    [
+        ("cn", 20000, 10.0, lcm_range),
+        ("lambda", 4000, 3.0, lambda n: lambda_product(n).value()),
+    ],
+)
+def test_seq_runs_in_linear_time(kind, max_n, budget_s, oracle):
+    # Recomputing each term from scratch takes over a minute for cn at 20000
+    # and about 7 s for lambda at 4000; the streamed route takes well under 1 s.
+    # The output (about 87 MB for cn at 20000) is read in chunks and only its
+    # tail is kept.
+    argv = [sys.executable, "-m", "ivpoly", "seq", kind, "--max-n", str(max_n)]
+    start = time.perf_counter()
+    with subprocess.Popen(argv, stdout=subprocess.PIPE) as proc:
+        tail = b""
+        for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+            tail = (tail + chunk)[-65536:]
+    assert proc.returncode == 0
+    assert time.perf_counter() - start < budget_s
+    assert Decimal(tail.splitlines()[-1].decode()) == oracle(max_n)
+
+
+@pytest.mark.parametrize(
+    "args", [["seq", "cn", "--max-n", "3000"], ["table", "F", "--max-n", "150"]]
+)
+def test_closed_output_exits_one_quietly(args):
+    # Like `ivpoly seq cn --max-n 3000 | head -1`: the reader leaves early.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ivpoly", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_output_is_deterministic(capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -101,6 +102,13 @@ def test_lambda_product():
     assert lambda_product(1).value() == 1
     assert lambda_product(5).factors == ((2, 2), (3, 1), (5, 1))
     assert lambda_product(5).value() == 60
+
+
+def test_lambda_product_past_a_million():
+    # Primes above 10**6 are accepted; each is checked by trial division once.
+    start = time.perf_counter()
+    assert lambda_product(1_000_003).factors[-1] == (1000003, 1)
+    assert time.perf_counter() - start < 15.0
 
 
 def test_lambda_sequence_matches_golden(c20, q20):

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from ivpoly import (
     PrimeFactorization,
+    lambda_product,
     lcm_list,
     lcm_range,
     primes_up_to,
     vp_int,
     vp_rat,
 )
-from ivpoly.exact_arith import PRIMALITY_CHECK_LIMIT, is_prime
+from ivpoly.exact_arith import PRIMALITY_CHECK_LIMIT, is_prime, lcm_ratios, radicals
 
 
 @pytest.mark.parametrize(
@@ -98,10 +99,28 @@ def _prime_power_base(n: int) -> int | None:
 
 
 def test_lcm_range_grows_only_at_prime_powers():
+    ratios = lcm_ratios(100)
     for n in range(2, 101):
         ratio = lcm_range(n) // lcm_range(n - 1)
         p = _prime_power_base(n)
-        assert ratio == (p if p is not None else 1), n
+        assert ratio == ratios[n] == (p if p is not None else 1), n
+    assert ratios[:2] == [1, 1]
+
+
+def test_lambda_grows_by_the_radical():
+    rads = radicals(100)
+    for n in range(2, 101):
+        ratio = lambda_product(n).value() // lambda_product(n - 1).value()
+        rad = math.prod(p for p in primes_up_to(n) if n % p == 0)
+        assert ratio == rads[n] == rad, n
+    assert rads[:2] == [1, 1]
+
+
+@pytest.mark.parametrize("helper", [lcm_ratios, radicals])
+def test_sequence_helpers_edges(helper):
+    assert helper(0) == [1]
+    with pytest.raises(ValueError):
+        helper(-1)
 
 
 def test_denominator_of():
