@@ -10,7 +10,7 @@ independent brute-force routes.
 """
 
 from .binomial_poly import BinomialPoly, MonomialPoly, basis, from_values
-from .constants import c_table, lambda_product, q_direct, q_table
+from .constants import c_table, lambda_product, q_direct, q_recurrence, q_table
 from .exact_arith import (
     EnumerationCapError,
     PrimeFactorization,
@@ -71,6 +71,7 @@ __all__ = [
     "minimal_multiplier_oracle",
     "primes_up_to",
     "q_direct",
+    "q_recurrence",
     "q_table",
     "run_all",
     "run_check",

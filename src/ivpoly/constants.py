@@ -7,7 +7,9 @@ q(n, k) is the lcm of all part products over compositions of length k with
 sum <= n, and lambda(n) = lcm of row n of either table, with the closed form
 prod over primes p of p**(n // p). ``lambda_product`` computes one lambda(n)
 and stays the oracle; ``lambda_factorizations`` streams the whole sequence
-from one sieve.
+from one sieve. Likewise ``q_table`` builds q from a closed form of its
+p-adic valuations, and ``q_recurrence`` (the lcm recurrence) and
+``q_direct`` (enumeration) stay as its oracles.
 """
 
 from __future__ import annotations
@@ -42,7 +44,53 @@ def c_table(max_n: int, d: IntegerTriangle) -> IntegerTriangle:
 
 
 def q_table(max_n: int) -> IntegerTriangle:
-    """The q triangle up to row max_n via its lcm recurrence.
+    """The q triangle up to row max_n from the p-adic valuations of its entries.
+
+    q(n, k) is the lcm of i_1 * ... * i_k over k positive parts with sum
+    <= n, so v_p(q(n, k)) is the largest sum of v_p(i_j) over such parts. A
+    part with v_p = a is at least p**a, and the part p**a reaches it, so
+    v_p(q(n, k)) is the largest a_1 + ... + a_k with
+    p**a_1 + ... + p**a_k <= n. As a -> p**a is convex, for a fixed sum
+    E = k*t + r (0 <= r < k) the balanced vector, r exponents t + 1 and k - r
+    exponents t, costs least, so
+
+        v_p(q(n, k)) = max{E : cost_k(E) <= n},
+        cost_k(E) = (k - r) * p**t + r * p**(t + 1),
+
+    and v_p(q(n, 0)) = 0. Since a * p <= p**a for a >= 1, the sum E is at
+    most n // p, which k = n // p parts equal to p reach: the lcm of row n is
+    prod over p of p**(n // p), the paper's lambda(n).
+
+    For fixed (k, p) the valuation rises by one exactly at n = cost_k(E),
+    E = 1, 2, ...; those E = k*t + r with 1 <= r <= k form the arithmetic
+    progression k * p**t + r * p**t * (p - 1). So each column starts from
+    q(k, k) = 1 and steps down by q(n, k) = q(n - 1, k) times the product of
+    the primes with a threshold at n: one big-by-small multiplication per
+    entry that changes, over one sieve of the primes up to max_n.
+    """
+    if max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    primes = primes_up_to(max_n)
+    rows: list[list[int]] = [[1] for _ in range(max_n + 1)]
+    for k in range(1, max_n + 1):
+        steps = [1] * (max_n + 1)
+        for p in primes:
+            power = 1
+            while (first := power * (k + p - 1)) <= max_n:
+                for n in range(first, min(k * power * p, max_n) + 1, power * (p - 1)):
+                    steps[n] *= p
+                power *= p
+        entry = 1
+        for n in range(k, max_n + 1):
+            if steps[n] != 1:
+                entry *= steps[n]
+            rows[n].append(entry)
+    return IntegerTriangle(rows, label="q-table")
+
+
+def q_recurrence(max_n: int) -> IntegerTriangle:
+    """The q triangle up to row max_n via its lcm recurrence (the oracle for
+    q_table).
 
     q(n, 0) = 1; for 1 <= k <= n,
     q(n, k) = lcm of (n - m + 1) * q(m-1, k-1) over k <= m <= n.

@@ -12,7 +12,6 @@ step factors of lcm(1..n) and lambda(n) for every n up to a bound from one
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +20,9 @@ from typing import Iterable
 # vp_int's trial division stays deterministic and fast up to here; larger
 # candidate primes are rejected outright rather than probabilistically tested.
 PRIMALITY_CHECK_LIMIT = 10**6
+# PrimeFactorization answers primality from a sieve below this bound (the
+# sieve then takes 16 MB at most) and by trial division above it.
+SIEVE_LIMIT = 2**24
 
 
 class EnumerationCapError(RuntimeError):
@@ -46,11 +48,25 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@functools.cache
+# The sieve behind _verified_prime, replaced by one twice as long whenever a
+# larger p is asked about.
+_PRIME_FLAGS = bytearray()
+
+
 def _verified_prime(p: int) -> bool:
-    """is_prime(p), computed once per p: the lambda rows repeat every prime
-    row after row, and a verdict never changes."""
-    return is_prime(p)
+    """Whether p is prime, read from the cached sieve; as each sieve doubles the
+    last, verifying the primes up to N sieves O(N) numbers in all.
+    p >= SIEVE_LIMIT falls back to is_prime."""
+    if p < 2:
+        return False
+    if p >= SIEVE_LIMIT:
+        return is_prime(p)
+    if p >= len(_PRIME_FLAGS):
+        size = max(len(_PRIME_FLAGS), 1024)
+        while size <= p:
+            size *= 2
+        _PRIME_FLAGS[:] = _sieve(size - 1)
+    return bool(_PRIME_FLAGS[p])
 
 
 def vp_int(a: int, p: int) -> int:
@@ -94,17 +110,22 @@ def lcm_range(n: int) -> int:
     return math.lcm(*range(2, n + 1))
 
 
-def primes_up_to(n: int) -> list[int]:
-    """Strictly increasing list of all primes <= n (sieve); n < 2 gives []."""
-    if n < 2:
-        return []
+def _sieve(n: int) -> bytearray:
+    """Sieve of Eratosthenes for n >= 1: entry i is 1 exactly when i is prime."""
     sieve = bytearray(b"\x01") * (n + 1)
     sieve[:2] = b"\x00\x00"
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             start = p * p
             sieve[start : n + 1 : p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
+    return sieve
+
+
+def primes_up_to(n: int) -> list[int]:
+    """Strictly increasing list of all primes <= n (sieve); n < 2 gives []."""
+    if n < 2:
+        return []
+    return [i for i, flag in enumerate(_sieve(n)) if flag]
 
 
 def lcm_ratios(n: int) -> list[int]:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .binomial_poly import basis, from_values
-from .constants import c_table, lambda_product, q_direct, q_table
+from .constants import DEFAULT_Q_ENUM_CAP, c_table, lambda_product, q_direct, q_recurrence, q_table
 from .exact_arith import EnumerationCapError, lcm_list, lcm_range, vp_int, vp_rat
 from .stirling import (
+    DEFAULT_ENUM_CAP,
     compositions,
     d_table,
     f_direct,
@@ -149,6 +150,10 @@ class Tables:
     def q(self, max_n: int) -> IntegerTriangle:
         return self._grow("q", max_n, q_table)
 
+    def cap(self, default: int) -> int:
+        """The enumeration cap: enum_cap when set, else the route's default."""
+        return default if self.enum_cap is None else self.enum_cap
+
     def oracle(self, n: int, k: int) -> int:
         """minimal_multiplier_oracle(n, k) under the oracle cap, memoised."""
         if (n, k) not in self._oracle:
@@ -158,6 +163,13 @@ class Tables:
 
 def _fail(name: str, tested: str, params: str, lhs, rhs) -> CheckReport:
     return CheckReport(name, tested, False, Counterexample(params, str(lhs), str(rhs)))
+
+
+def _enumerable(what: str, max_n: int, cap: int) -> None:
+    """Raise, before any enumeration runs, the cap error that enumerating every
+    n up to max_n would meet first, at n = cap + 1."""
+    if max_n > cap:
+        raise EnumerationCapError(what, cap + 1, cap)
 
 
 def minimal_multiplier_oracle(n: int, k: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
@@ -230,7 +242,7 @@ def check_theorem3(
     divide k! * c(m, k). The witness range obeys the enumeration cap.
     """
     tables = tables or Tables()
-    cap = DEFAULT_WITNESS_CAP if tables.enum_cap is None else tables.enum_cap
+    cap = tables.cap(DEFAULT_WITNESS_CAP)
     if witness_max_n > cap:
         raise EnumerationCapError("theorem3 witness compositions", witness_max_n, cap)
     name = "theorem3"
@@ -351,7 +363,9 @@ def cross_check_f(max_n: int, tables: Tables | None = None) -> CheckReport:
     """All F routes agree entrywise, including both derivative-at-0 routes."""
     tables = tables or Tables()
     name, tested = "proposition1", f"0 <= k <= n <= {max_n}"
-    f, s, cap = tables.f(max_n), tables.stirling(max_n), tables.enum_cap
+    cap = tables.cap(DEFAULT_ENUM_CAP)
+    _enumerable("direct composition sum", max_n, cap)
+    f, s = tables.f(max_n), tables.stirling(max_n)
     for n in range(max_n + 1):
         mono = basis(n).to_monomial()
         for k in range(n + 1):
@@ -381,12 +395,19 @@ def check_proposition2(max_n: int, tables: Tables | None = None) -> CheckReport:
     """The q recurrence matches brute-force enumeration."""
     tables = tables or Tables()
     name, tested = "proposition2", f"0 <= k <= n <= {max_n}"
-    q = tables.q(max_n)
+    cap = tables.cap(DEFAULT_Q_ENUM_CAP)
+    _enumerable("composition product lcm", max_n, cap)
+    q, recurrence = tables.q(max_n), q_recurrence(max_n)
     for n in range(max_n + 1):
         for k in range(n + 1):
-            want = q_direct(n, k, cap=tables.enum_cap)
+            want = q_direct(n, k, cap=cap)
             if q[n, k] != want:
                 return _fail(name, tested, f"n={n}, k={k}", f"table={q[n, k]}", f"enumeration={want}")
+            if q[n, k] != recurrence[n, k]:
+                return _fail(
+                    name, tested, f"n={n}, k={k}", f"table={q[n, k]}",
+                    f"recurrence={recurrence[n, k]}",
+                )
     return CheckReport(name, tested, True)
 
 

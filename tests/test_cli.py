@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ivpoly.cli as cli
-from ivpoly import f_table, lambda_product, lcm_range
+from ivpoly import f_table, lambda_product, lcm_list, lcm_range
 from ivpoly.verify import CheckReport, Counterexample
 from golden import GOLDEN_C, GOLDEN_LAMBDA, GOLDEN_Q
 
@@ -42,6 +42,18 @@ def test_table_q_csv_matches_golden(capsys):
     code, out = run_cli(capsys, "table", "q", "--max-n", "10", "--format", "csv")
     assert code == 0
     assert out == _expected_csv(GOLDEN_Q, 10)
+
+
+def test_table_q_in_near_quadratic_time():
+    # The lcm recurrence took about 20 s for this op on a 2-core machine; the
+    # valuation closed form takes well under 1 s.
+    argv = [sys.executable, "-m", "ivpoly", "table", "q", "--max-n", "400", "--format", "csv"]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, capture_output=True, check=True)
+    assert time.perf_counter() - start < 5.0
+    label, *cells = proc.stdout.decode().splitlines()[-1].split(",")
+    assert label == "400"
+    assert lcm_list(map(int, cells)) == lambda_product(400).value()
 
 
 def test_table_default_format_is_markdown(capsys):
@@ -214,6 +226,29 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 def test_verify_cap_exceeded_exits_three(capsys):
     code = cli.main(["verify", "proposition2", "--max-n", "20"])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "check, max_n, message",
+    [
+        ("theorem1", 15, "minimal multiplier oracle: n = 15 exceeds the enumeration cap 14"),
+        ("theorem2", 15, "minimal multiplier oracle: n = 15 exceeds the enumeration cap 14"),
+        ("theorem3", 15, "theorem3 witness compositions: n = 15 exceeds the enumeration cap 14"),
+        ("theorem4", 15, "minimal multiplier oracle: n = 15 exceeds the enumeration cap 14"),
+        ("proposition1", 23, "direct composition sum: n = 23 exceeds the enumeration cap 22"),
+        ("proposition2", 19, "composition product lcm: n = 19 exceeds the enumeration cap 18"),
+    ],
+)
+def test_capped_checks_exit_three_at_once(check, max_n, message, capsys, monkeypatch):
+    # One past each default cap; proposition1 used to enumerate for about 48 s
+    # before it reached its cap.
+    monkeypatch.delenv("IVPOLY_ENUM_CAP", raising=False)
+    start = time.perf_counter()
+    assert cli.main(["verify", check, "--max-n", str(max_n)]) == 3
+    assert time.perf_counter() - start < 3.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ivpoly: error: {message}\n"
 
 
 def test_theorem3_witness_cap_exits_three(capsys, monkeypatch):

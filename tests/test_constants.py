@@ -1,18 +1,25 @@
+import itertools
 import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivpoly import (
     EnumerationCapError,
+    PrimeFactorization,
     c_table,
     d_table,
     f_table,
     lambda_product,
     lcm_list,
     lcm_range,
+    primes_up_to,
     q_direct,
+    q_recurrence,
     q_table,
+    vp_int,
 )
 from golden import GOLDEN_C, GOLDEN_LAMBDA, GOLDEN_Q
 
@@ -82,6 +89,46 @@ def test_q_direct_matches_table(q20):
             assert q_direct(n, k) == q20[n, k]
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=150))
+def test_q_table_matches_the_recurrence(max_n):
+    assert q_table(max_n) == q_recurrence(max_n)
+
+
+def _best_exponent_sum(n, k, p):
+    """Brute force: the largest a_1 + ... + a_k with p**a_1 + ... + p**a_k <= n."""
+    top = 0
+    while p ** (top + 1) <= n:
+        top += 1
+    return max(
+        sum(exponents)
+        for exponents in itertools.combinations_with_replacement(range(top + 1), k)
+        if sum(p**a for a in exponents) <= n
+    )
+
+
+def test_q_valuations_match_the_balanced_closed_form():
+    # v_p(q(n, k)) = max{E : (k - r) * p**t + r * p**(t + 1) <= n}, E = k*t + r.
+    q = q_table(12)
+    for p in (2, 3, 5, 7):
+        for n in range(13):
+            for k in range(n + 1):
+                closed = 0
+                if k:
+                    closed = max(
+                        e for e in range(n + 1)
+                        if (k - e % k) * p ** (e // k) + (e % k) * p ** (e // k + 1) <= n
+                    )
+                assert _best_exponent_sum(n, k, p) == closed == vp_int(q[n, k], p), (n, k, p)
+
+
+def test_row_valuations_peak_at_n_over_p():
+    q = q_table(60)
+    for n in range(61):
+        for p in primes_up_to(60):
+            assert max(vp_int(entry, p) for entry in q.row(n)) == n // p
+
+
 def test_q_total(q20):
     assert lcm_list(q20.row(6)) == 360
     assert lcm_list(q20.row(0)) == 1
@@ -105,10 +152,12 @@ def test_lambda_product():
 
 
 def test_lambda_product_past_a_million():
-    # Primes above 10**6 are accepted; each is checked by trial division once.
+    # Primes above 10**6 are accepted, each read from one cached sieve.
     start = time.perf_counter()
     assert lambda_product(1_000_003).factors[-1] == (1000003, 1)
-    assert time.perf_counter() - start < 15.0
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError):
+        PrimeFactorization(((1_000_001, 1),))  # 101 * 9901
 
 
 def test_lambda_sequence_matches_golden(c20, q20):

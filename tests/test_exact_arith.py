@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ivpoly.exact_arith as exact_arith
 from ivpoly import (
     PrimeFactorization,
     lambda_product,
@@ -171,6 +172,17 @@ class TestPrimeFactorization:
     def test_invalid_factors_rejected(self, factors):
         with pytest.raises(ValueError):
             PrimeFactorization(factors)
+
+    def test_accepts_exactly_the_primes(self, monkeypatch):
+        # From an empty cache, so the sieve doubles from 1024 to 8192 on the way.
+        monkeypatch.setattr(exact_arith, "_PRIME_FLAGS", bytearray())
+        for p in range(2, 5000):
+            try:
+                PrimeFactorization(((p, 1),))
+            except ValueError:
+                assert not is_prime(p), p
+            else:
+                assert is_prime(p), p
 
 
 @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6))

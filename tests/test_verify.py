@@ -185,6 +185,14 @@ class TestChecksCanFail:
         assert "n=4, k=2" in report.counterexample.params
 
 
+def test_proposition2_names_a_recurrence_mismatch(monkeypatch, small_tables):
+    _, _, q = small_tables
+    monkeypatch.setattr(verify, "q_recurrence", lambda max_n: _with_entry(q, 5, 3, 7))
+    report = verify.check_proposition2(8, tables=Tables(q=q))
+    assert not report.passed
+    assert str(report.counterexample) == "n=5, k=3: table=12 vs recurrence=7"
+
+
 def test_reports_are_deterministic():
     assert run_all(SMALL_CONFIG) == run_all(SMALL_CONFIG)
 
@@ -213,6 +221,23 @@ def test_theorem3_witness_cap():
     with pytest.raises(EnumerationCapError):
         verify.check_theorem3(4, 5, tables=Tables(enum_cap=4))
     assert verify.check_theorem3(4, 5, tables=Tables(enum_cap=5)).passed
+
+
+@pytest.mark.parametrize(
+    "check, route, enum_cap, first_over",
+    [
+        ("cross_check_f", "f_direct", None, 23),
+        ("check_proposition2", "q_direct", None, 19),
+        ("cross_check_f", "f_direct", 5, 6),
+        ("check_proposition2", "q_direct", 5, 6),
+    ],
+)
+def test_capped_checks_raise_before_enumerating(check, route, enum_cap, first_over, monkeypatch):
+    # The error names the first n over the cap, not the requested range.
+    monkeypatch.setattr(verify, route, lambda *args, **kwargs: pytest.fail("enumerated"))
+    with pytest.raises(EnumerationCapError) as excinfo:
+        getattr(verify, check)(30, tables=Tables(enum_cap=enum_cap))
+    assert (excinfo.value.requested, excinfo.value.cap) == (first_over, first_over - 1)
 
 
 def test_run_all_default_passes_and_is_sorted():
