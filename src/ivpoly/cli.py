@@ -79,7 +79,7 @@ def _table_rows(kind: str, max_n: int) -> list[list[str]]:
         return [[str(v) for v in row] for row in d_table(f_table(max_n)).rows]
     if kind == "q":
         return [[str(v) for v in row] for row in q_table(max_n).rows]
-    return [[str(v) for v in row] for row in c_table(max_n, d_table(f_table(max_n))).rows]
+    return [[str(v) for v in row] for row in c_table(d_table(f_table(max_n))).rows]
 
 
 def _render_table(kind: str, max_n: int, fmt: str) -> str:
@@ -155,7 +155,7 @@ def _config_from_env_and_args(
             cap_value = 0
         if cap_value < 1:
             parser.error(f"IVPOLY_ENUM_CAP must be a positive integer, got {cap!r}")
-        config = VerifyConfig(enum_cap=cap_value, oracle_cap=cap_value)
+        config = VerifyConfig(enum_cap=cap_value)
     if args.max_n is not None:
         scope = None if args.scope == "all" else args.scope
         config = config.with_max_n(args.max_n, scope)

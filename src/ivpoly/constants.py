@@ -26,13 +26,11 @@ from .triangles import IntegerTriangle
 DEFAULT_Q_ENUM_CAP = 18
 
 
-def c_table(max_n: int, d: IntegerTriangle) -> IntegerTriangle:
-    """Column-wise lcm folds of the d-table: entry (n, k) is
+def c_table(d: IntegerTriangle) -> IntegerTriangle:
+    """Column-wise lcm folds of the d-table, row for row: entry (n, k) is
     lcm of d(m, k) for k <= m <= n."""
-    if d.max_n < max_n:
-        raise ValueError(f"d-table covers rows up to {d.max_n}, need {max_n}")
     rows: list[list[int]] = []
-    for n in range(max_n + 1):
+    for n in range(d.max_n + 1):
         row = []
         for k in range(n + 1):
             if k == n:
@@ -40,7 +38,7 @@ def c_table(max_n: int, d: IntegerTriangle) -> IntegerTriangle:
             else:
                 row.append(math.lcm(rows[n - 1][k], d[n, k]))
         rows.append(row)
-    return IntegerTriangle(rows, label="c-table")
+    return IntegerTriangle(rows)
 
 
 def q_table(max_n: int) -> IntegerTriangle:
@@ -85,7 +83,7 @@ def q_table(max_n: int) -> IntegerTriangle:
             if steps[n] != 1:
                 entry *= steps[n]
             rows[n].append(entry)
-    return IntegerTriangle(rows, label="q-table")
+    return IntegerTriangle(rows)
 
 
 def q_recurrence(max_n: int) -> IntegerTriangle:
@@ -103,17 +101,16 @@ def q_recurrence(max_n: int) -> IntegerTriangle:
         for k in range(1, n + 1):
             row.append(lcm_list((n - m + 1) * rows[m - 1][k - 1] for m in range(k, n + 1)))
         rows.append(row)
-    return IntegerTriangle(rows, label="q-table")
+    return IntegerTriangle(rows)
 
 
-def q_direct(n: int, k: int, cap: int | None = None) -> int:
+def q_direct(n: int, k: int, cap: int = DEFAULT_Q_ENUM_CAP) -> int:
     """q(n, k) by brute force: lcm of part products over all compositions
     of every total m <= n into exactly k positive parts."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    limit = DEFAULT_Q_ENUM_CAP if cap is None else cap
-    if n > limit:
-        raise EnumerationCapError("composition product lcm", n, limit)
+    if n > cap:
+        raise EnumerationCapError("composition product lcm", n, cap)
     out = 1
     for m in range(n + 1):
         for parts in compositions(m, k):

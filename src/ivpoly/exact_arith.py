@@ -35,7 +35,8 @@ class EnumerationCapError(RuntimeError):
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic trial division; intended for p <= PRIMALITY_CHECK_LIMIT."""
+    """Deterministic trial division, O(sqrt(p)) divisions. vp_int calls it for
+    p <= PRIMALITY_CHECK_LIMIT, and _verified_prime for p >= SIEVE_LIMIT."""
     if p < 2:
         return False
     if p % 2 == 0:

@@ -41,12 +41,6 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _check_cap(what: str, n: int, cap: int | None) -> None:
-    limit = DEFAULT_ENUM_CAP if cap is None else cap
-    if n > limit:
-        raise EnumerationCapError(what, n, limit)
-
-
 def stirling_first(max_n: int) -> StirlingTable:
     """Triangle of Stirling numbers of the first kind up to row max_n.
 
@@ -87,11 +81,12 @@ def f_table(max_n: int) -> RationalTriangle:
     return RationalTriangle(rows)
 
 
-def f_direct(n: int, k: int, cap: int | None = None) -> Fraction:
+def f_direct(n: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     """F(n, k) by brute force: sum 1/(product of parts) over compositions."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    _check_cap("direct composition sum", n, cap)
+    if n > cap:
+        raise EnumerationCapError("direct composition sum", n, cap)
     total = Fraction(0)
     for parts in compositions(n, k):
         total += Fraction(1, math.prod(parts))
@@ -107,7 +102,7 @@ def f_from_stirling(n: int, k: int, table: StirlingTable) -> Fraction:
     return Fraction(math.factorial(k), math.factorial(n)) * abs(table[n, k])
 
 
-def f_from_subsets(n: int, k: int, cap: int | None = None) -> Fraction:
+def f_from_subsets(n: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     """F(n, k) for k >= 2 as k!/n times a sum over (k-1)-subsets of 1..n-1.
 
     Each subset {i_1 < ... < i_{k-1}} contributes 1/(i_1 * ... * i_{k-1}).
@@ -116,7 +111,8 @@ def f_from_subsets(n: int, k: int, cap: int | None = None) -> Fraction:
         raise ValueError(f"the subset formula needs k >= 2, got k = {k}")
     if k > n:
         raise ValueError(f"need k <= n, got ({n}, {k})")
-    _check_cap("subset reciprocal sum", n, cap)
+    if n > cap:
+        raise EnumerationCapError("subset reciprocal sum", n, cap)
     total = Fraction(0)
     for subset in itertools.combinations(range(1, n), k - 1):
         total += Fraction(1, math.prod(subset))
@@ -137,7 +133,4 @@ def f_from_partial_sums(n: int, k: int, table: RationalTriangle) -> Fraction:
 
 def d_table(f: RationalTriangle) -> IntegerTriangle:
     """Elementwise denominators of the F triangle (den of 0 and 1 is 1)."""
-    return IntegerTriangle(
-        [[entry.denominator for entry in row] for row in f.rows],
-        label="d-table",
-    )
+    return IntegerTriangle([[entry.denominator for entry in row] for row in f.rows])

@@ -59,17 +59,11 @@ class RationalTriangle(_Triangle):
 
 
 class IntegerTriangle(_Triangle):
-    """Triangle of positive integers, tagged with what it tabulates."""
+    """Triangle of positive integers."""
 
-    __slots__ = ("label",)
-
-    def __init__(self, rows: Iterable[Iterable[int]], label: str):
+    def __init__(self, rows: Iterable[Iterable[int]]):
         super().__init__(rows)
         for n, row in enumerate(self.rows):
             for k, entry in enumerate(row):
                 if not isinstance(entry, int) or entry < 1:
                     raise ValueError(f"entry ({n}, {k}) must be a positive integer, got {entry!r}")
-        self.label = label
-
-    def __eq__(self, other) -> bool:
-        return super().__eq__(other) and other.label == self.label

@@ -38,6 +38,9 @@ DEFAULT_ORACLE_CAP = 14
 # The theorem3 witness loop interpolates one product per composition with
 # sum <= n; its cost grows about 4.7x per +2.
 DEFAULT_WITNESS_CAP = 14
+# The primes the lemma2 and lemma3 checks run over; their reports name them.
+LEMMA2_PRIMES = (2, 3, 5, 7)
+LEMMA3_PRIMES = (2, 3, 5)
 
 
 @dataclass(frozen=True)
@@ -68,9 +71,11 @@ class CheckReport:
 class VerifyConfig:
     """Named ranges for every check; defaults keep the full suite fast.
 
-    Each field ``<check>_<param>`` is the keyword ``param`` of that check, and
-    the ``max_*`` ones are its ranges. The two caps configure the Tables
-    context the checks share.
+    Each field ``<check>_<param>`` is the keyword ``param`` of that check, a
+    range. ``enum_cap``, when set, replaces the cap of every brute-force route
+    (the multiplier oracle, the theorem3 witnesses, and the F and q
+    enumerations) in the Tables context the checks share; it is the library
+    form of the CLI's IVPOLY_ENUM_CAP.
     """
 
     theorem1_max_n: int = 12
@@ -82,27 +87,23 @@ class VerifyConfig:
     theorem4_oracle_max_n: int = 12
     lemma1_max_n: int = 16
     lemma2_max_a: int = 10_000
-    lemma2_primes: tuple[int, ...] = (2, 3, 5, 7)
     lemma3_max_n: int = 30
-    lemma3_primes: tuple[int, ...] = (2, 3, 5)
     corollary1_max_n: int = 64
     proposition1_max_n: int = 14
     proposition2_max_n: int = 14
-    oracle_cap: int = DEFAULT_ORACLE_CAP
     enum_cap: int | None = None
 
     def with_max_n(self, n: int, check: str | None = None) -> "VerifyConfig":
         """Rewrite the range fields of one check (or of all checks)."""
         checks = CHECK_NAMES if check is None else (check,)
         return dataclasses.replace(
-            self,
-            **{f"{c}_{p}": n for c in checks for p in _CHECK_PARAMS[c] if "max_" in p},
+            self, **{f"{c}_{p}": n for c in checks for p in _CHECK_PARAMS[c]}
         )
 
 
 _CHECK_PARAMS: dict[str, list[str]] = {}
 for _field in dataclasses.fields(VerifyConfig):
-    if _field.name not in ("oracle_cap", "enum_cap"):
+    if _field.name != "enum_cap":
         _check, _param = _field.name.split("_", 1)
         _CHECK_PARAMS.setdefault(_check, []).append(_param)
 
@@ -113,13 +114,14 @@ class Tables:
     """The F, Stirling, c and q tables and the oracle values checks share.
 
     A table is built the first time a check asks for it and rebuilt only when
-    a later check needs more rows. Tables passed in are used as they are
-    while they cover the rows asked for (fault injection in the tests).
+    a later check needs more rows; c is folded from the F table at hand, so
+    it has as many rows. Tables passed in are used as they are while they
+    cover the rows asked for (fault injection in the tests). One cap,
+    enum_cap, replaces every route's default cap when set.
     """
 
     def __init__(
         self,
-        oracle_cap: int = DEFAULT_ORACLE_CAP,
         enum_cap: int | None = None,
         *,
         f: RationalTriangle | None = None,
@@ -127,7 +129,6 @@ class Tables:
         c: IntegerTriangle | None = None,
         q: IntegerTriangle | None = None,
     ):
-        self.oracle_cap = oracle_cap
         self.enum_cap = enum_cap
         self._tables = {"f": f, "s": s, "c": c, "q": q}
         self._oracle: dict[tuple[int, int], int] = {}
@@ -145,7 +146,7 @@ class Tables:
         return self._grow("s", max_n, stirling_first)
 
     def c(self, max_n: int) -> IntegerTriangle:
-        return self._grow("c", max_n, lambda n: c_table(n, d_table(self.f(n))))
+        return self._grow("c", max_n, lambda n: c_table(d_table(self.f(n))))
 
     def q(self, max_n: int) -> IntegerTriangle:
         return self._grow("q", max_n, q_table)
@@ -155,9 +156,10 @@ class Tables:
         return default if self.enum_cap is None else self.enum_cap
 
     def oracle(self, n: int, k: int) -> int:
-        """minimal_multiplier_oracle(n, k) under the oracle cap, memoised."""
+        """minimal_multiplier_oracle(n, k) under the enumeration cap, memoised."""
         if (n, k) not in self._oracle:
-            self._oracle[n, k] = minimal_multiplier_oracle(n, k, cap=self.oracle_cap)
+            cap = self.cap(DEFAULT_ORACLE_CAP)
+            self._oracle[n, k] = minimal_multiplier_oracle(n, k, cap=cap)
         return self._oracle[n, k]
 
 
@@ -331,25 +333,21 @@ def check_corollary1(max_n: int, tables: Tables | None = None) -> CheckReport:
     return CheckReport(name, tested, True)
 
 
-def check_lemma2(
-    max_a: int, primes: tuple[int, ...], tables: Tables | None = None
-) -> CheckReport:
+def check_lemma2(max_a: int, tables: Tables | None = None) -> CheckReport:
     """vp(a) <= a / p, exhaustively."""
-    name, tested = "lemma2", f"1 <= a <= {max_a}, p in {primes}"
-    for p in primes:
+    name, tested = "lemma2", f"1 <= a <= {max_a}, p in {LEMMA2_PRIMES}"
+    for p in LEMMA2_PRIMES:
         for a in range(1, max_a + 1):
             if vp_int(a, p) * p > a:
                 return _fail(name, tested, f"a={a}, p={p}", f"vp={vp_int(a, p)}", f"a/p={a}/{p}")
     return CheckReport(name, tested, True)
 
 
-def check_lemma3(
-    max_n: int, primes: tuple[int, ...], tables: Tables | None = None
-) -> CheckReport:
+def check_lemma3(max_n: int, tables: Tables | None = None) -> CheckReport:
     """The p-adic valuation of F(k*p, k) is exactly -k."""
     f = (tables or Tables()).f(max_n)
-    name, tested = "lemma3", f"k*p <= {max_n}, p in {primes}"
-    for p in primes:
+    name, tested = "lemma3", f"k*p <= {max_n}, p in {LEMMA3_PRIMES}"
+    for p in LEMMA3_PRIMES:
         k = 1
         while k * p <= max_n:
             valuation = vp_rat(f[k * p, k], p)
@@ -422,11 +420,11 @@ def _run(name: str, config: VerifyConfig, tables: Tables) -> CheckReport:
 
 def run_check(name: str, config: VerifyConfig = VerifyConfig()) -> CheckReport:
     """Run one named check with the configured ranges."""
-    return _run(name, config, Tables(config.oracle_cap, config.enum_cap))
+    return _run(name, config, Tables(config.enum_cap))
 
 
 def run_all(config: VerifyConfig = VerifyConfig()) -> list[CheckReport]:
     """Every check at its configured range, sorted by check name, all
     sharing one Tables context."""
-    tables = Tables(config.oracle_cap, config.enum_cap)
+    tables = Tables(config.enum_cap)
     return [_run(name, config, tables) for name in CHECK_NAMES]

@@ -15,7 +15,7 @@ def d20(f20):
 
 @pytest.fixture(scope="session")
 def c20(d20):
-    return c_table(20, d20)
+    return c_table(d20)
 
 
 @pytest.fixture(scope="session")

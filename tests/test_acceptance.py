@@ -111,7 +111,7 @@ def test_criterion_08_slope_identity_and_lower_bound():
 
 def test_criterion_09_key_valuations():
     start = time.perf_counter()
-    report = verify.check_lemma3(30, primes=(2, 3, 5))
+    report = verify.check_lemma3(30)
     _conclude(
         9, "valuation of F(kp, k)", report.passed,
         time.perf_counter() - start, 2.0, str(report.counterexample),

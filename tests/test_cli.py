@@ -228,21 +228,36 @@ def test_verify_cap_exceeded_exits_three(capsys):
     assert code == 3
 
 
+# (check, --max-n, stderr message, IVPOLY_ENUM_CAP or None for the default caps)
+CAPPED_CASES = [
+    ("theorem1", 15, "minimal multiplier oracle: n = 15 exceeds the enumeration cap 14", None),
+    ("theorem2", 15, "minimal multiplier oracle: n = 15 exceeds the enumeration cap 14", None),
+    ("theorem3", 15, "theorem3 witness compositions: n = 15 exceeds the enumeration cap 14", None),
+    ("theorem4", 15, "minimal multiplier oracle: n = 15 exceeds the enumeration cap 14", None),
+    ("proposition1", 23, "direct composition sum: n = 23 exceeds the enumeration cap 22", None),
+    ("proposition2", 19, "composition product lcm: n = 19 exceeds the enumeration cap 18", None),
+    ("theorem1", 6, "minimal multiplier oracle: n = 6 exceeds the enumeration cap 5", "5"),
+    ("theorem2", 6, "minimal multiplier oracle: n = 6 exceeds the enumeration cap 5", "5"),
+    ("theorem3", 6, "theorem3 witness compositions: n = 6 exceeds the enumeration cap 5", "5"),
+    ("theorem4", 6, "minimal multiplier oracle: n = 6 exceeds the enumeration cap 5", "5"),
+    ("proposition1", 6, "direct composition sum: n = 6 exceeds the enumeration cap 5", "5"),
+    ("proposition2", 6, "composition product lcm: n = 6 exceeds the enumeration cap 5", "5"),
+]
+
+
 @pytest.mark.parametrize(
-    "check, max_n, message",
-    [
-        ("theorem1", 15, "minimal multiplier oracle: n = 15 exceeds the enumeration cap 14"),
-        ("theorem2", 15, "minimal multiplier oracle: n = 15 exceeds the enumeration cap 14"),
-        ("theorem3", 15, "theorem3 witness compositions: n = 15 exceeds the enumeration cap 14"),
-        ("theorem4", 15, "minimal multiplier oracle: n = 15 exceeds the enumeration cap 14"),
-        ("proposition1", 23, "direct composition sum: n = 23 exceeds the enumeration cap 22"),
-        ("proposition2", 19, "composition product lcm: n = 19 exceeds the enumeration cap 18"),
-    ],
+    "check, max_n, message, env_cap",
+    # A None env_cap is left out of the id, which keeps the default-cap ids stable.
+    [pytest.param(*case, id="-".join(str(v) for v in case if v is not None)) for case in CAPPED_CASES],
 )
-def test_capped_checks_exit_three_at_once(check, max_n, message, capsys, monkeypatch):
-    # One past each default cap; proposition1 used to enumerate for about 48 s
-    # before it reached its cap.
-    monkeypatch.delenv("IVPOLY_ENUM_CAP", raising=False)
+def test_capped_checks_exit_three_at_once(check, max_n, message, env_cap, capsys, monkeypatch):
+    # One past each cap: the default ones, and the one IVPOLY_ENUM_CAP sets
+    # for every route. proposition1 used to enumerate for about 48 s before
+    # it reached its default cap.
+    if env_cap is None:
+        monkeypatch.delenv("IVPOLY_ENUM_CAP", raising=False)
+    else:
+        monkeypatch.setenv("IVPOLY_ENUM_CAP", env_cap)
     start = time.perf_counter()
     assert cli.main(["verify", check, "--max-n", str(max_n)]) == 3
     assert time.perf_counter() - start < 3.0

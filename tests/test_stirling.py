@@ -143,4 +143,3 @@ def test_d_table(f20, d20):
     assert d20[2, 1] == 2
     assert all(d20[n, n] == 1 for n in range(21))
     assert all(d20[n, 0] == 1 for n in range(21))
-    assert d20.label == "d-table"

@@ -53,14 +53,14 @@ def _with_entry(triangle, n, k, value):
     rows = [list(row) for row in triangle.rows]
     rows[n][k] = value
     if isinstance(triangle, IntegerTriangle):
-        return IntegerTriangle(rows, label=triangle.label)
+        return IntegerTriangle(rows)
     return RationalTriangle(rows)
 
 
 @pytest.fixture(scope="module")
 def small_tables():
     f = f_table(8)
-    c = c_table(8, d_table(f))
+    c = c_table(d_table(f))
     q = q_table(8)
     return f, c, q
 
@@ -106,10 +106,10 @@ class TestChecksPass:
         assert verify.check_lemma1(10).passed
 
     def test_lemma2(self):
-        assert verify.check_lemma2(2000, (2, 3, 5, 7)).passed
+        assert verify.check_lemma2(2000).passed
 
     def test_lemma3(self):
-        assert verify.check_lemma3(20, (2, 3, 5)).passed
+        assert verify.check_lemma3(20).passed
 
     def test_corollary1(self):
         assert verify.check_corollary1(64).passed
@@ -156,14 +156,13 @@ class TestChecksCanFail:
 
     def test_lemma2(self, monkeypatch):
         monkeypatch.setattr(verify, "vp_int", lambda a, p: a)
-        report = verify.check_lemma2(10, primes=(2,))
+        report = verify.check_lemma2(10)
         assert not report.passed
+        assert report.counterexample.params == "a=1, p=2"
 
     def test_lemma3(self, small_tables):
         f, _, _ = small_tables
-        report = verify.check_lemma3(
-            8, (2, 3, 5), tables=Tables(f=_with_entry(f, 4, 2, Fraction(11, 13)))
-        )
+        report = verify.check_lemma3(8, tables=Tables(f=_with_entry(f, 4, 2, Fraction(11, 13))))
         assert not report.passed
         assert "k=2, p=2" in report.counterexample.params
 
@@ -212,7 +211,16 @@ def test_tables_grow_only_when_more_rows_are_needed():
     small = tables.f(4)
     assert tables.f(3) is small
     assert tables.f(6).max_n == 6
+    # c is folded from the cached f, so it comes with all of f's rows.
+    assert tables.c(2).max_n == 6
     assert tables.c(5) is tables.c(2)
+
+
+def test_one_enum_cap_also_caps_the_oracle():
+    config = VerifyConfig(enum_cap=5).with_max_n(6, "theorem1")
+    with pytest.raises(EnumerationCapError) as excinfo:
+        run_check("theorem1", config)
+    assert (excinfo.value.requested, excinfo.value.cap) == (6, 5)
 
 
 def test_theorem3_witness_cap():
