@@ -17,11 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-# vp_int's trial division stays deterministic and fast up to here; larger
-# candidate primes are rejected outright rather than probabilistically tested.
-PRIMALITY_CHECK_LIMIT = 10**6
-# PrimeFactorization answers primality from a sieve below this bound (the
-# sieve then takes 16 MB at most) and by trial division above it.
+# vp_int and PrimeFactorization answer primality from a sieve below this
+# bound (the sieve then takes 16 MB at most) and by trial division above it.
 SIEVE_LIMIT = 2**24
 
 
@@ -35,8 +32,8 @@ class EnumerationCapError(RuntimeError):
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic trial division, O(sqrt(p)) divisions. vp_int calls it for
-    p <= PRIMALITY_CHECK_LIMIT, and _verified_prime for p >= SIEVE_LIMIT."""
+    """Deterministic trial division, O(sqrt(p)) divisions; _verified_prime
+    calls it for p >= SIEVE_LIMIT."""
     if p < 2:
         return False
     if p % 2 == 0:
@@ -74,11 +71,7 @@ def vp_int(a: int, p: int) -> int:
     """Largest e such that p**e divides a, for a >= 1 and p prime."""
     if a <= 0:
         raise ValueError(f"valuation needs a positive integer, got {a}")
-    if p > PRIMALITY_CHECK_LIMIT:
-        raise ValueError(
-            f"primality checking is limited to p <= {PRIMALITY_CHECK_LIMIT}, got {p}"
-        )
-    if not is_prime(p):
+    if not _verified_prime(p):
         raise ValueError(f"expected a prime, got {p}")
     e = 0
     while a % p == 0:

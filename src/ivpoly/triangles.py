@@ -7,17 +7,29 @@ from typing import Iterable
 
 
 class _Triangle:
-    """Shape validation and (n, k) indexing shared by the concrete tables."""
+    """Shape and entry validation and (n, k) indexing for the concrete tables.
+
+    Each kind declares the entry types it accepts and whether entries must be
+    positive; the constructor checks the shape and every entry in one pass and
+    keeps the entries as given.
+    """
 
     __slots__ = ("rows",)
+    entry_types: tuple[type, ...] = (int,)
+    positive = False
 
     def __init__(self, rows: Iterable[Iterable]):
         frozen = tuple(tuple(row) for row in rows)
         if not frozen:
             raise ValueError("a triangle needs at least row 0")
+        types, positive = self.entry_types, self.positive
         for n, row in enumerate(frozen):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")
+            for k, entry in enumerate(row):
+                if not isinstance(entry, types) or (positive and entry < 1):
+                    wanted = " or ".join(t.__name__ for t in types) + " > 0" * positive
+                    raise ValueError(f"entry ({n}, {k}) must be of type {wanted}, got {entry!r}")
         self.rows = frozen
 
     @property
@@ -43,27 +55,14 @@ class _Triangle:
 class StirlingTable(_Triangle):
     """Signed integer triangle of Stirling numbers of the first kind."""
 
-    def __init__(self, rows: Iterable[Iterable[int]]):
-        super().__init__(rows)
-        for row in self.rows:
-            for entry in row:
-                if not isinstance(entry, int):
-                    raise ValueError(f"Stirling entries must be integers, got {entry!r}")
-
 
 class RationalTriangle(_Triangle):
-    """Triangle of exact rationals (entries coerced to Fraction)."""
+    """Triangle of exact rationals, each a Fraction or an int."""
 
-    def __init__(self, rows: Iterable[Iterable[Fraction | int]]):
-        super().__init__(tuple(Fraction(entry) for entry in row) for row in rows)
+    entry_types = (Fraction, int)
 
 
 class IntegerTriangle(_Triangle):
     """Triangle of positive integers."""
 
-    def __init__(self, rows: Iterable[Iterable[int]]):
-        super().__init__(rows)
-        for n, row in enumerate(self.rows):
-            for k, entry in enumerate(row):
-                if not isinstance(entry, int) or entry < 1:
-                    raise ValueError(f"entry ({n}, {k}) must be a positive integer, got {entry!r}")
+    positive = True

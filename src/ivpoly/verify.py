@@ -97,7 +97,7 @@ class VerifyConfig:
         """Rewrite the range fields of one check (or of all checks)."""
         checks = CHECK_NAMES if check is None else (check,)
         return dataclasses.replace(
-            self, **{f"{c}_{p}": n for c in checks for p in _CHECK_PARAMS[c]}
+            self, **{f"{c}_{p}": n for c in checks for p in _check_params(c)}
         )
 
 
@@ -110,6 +110,13 @@ for _field in dataclasses.fields(VerifyConfig):
 CHECK_NAMES: tuple[str, ...] = tuple(sorted(_CHECK_PARAMS))
 
 
+def _check_params(name: str) -> list[str]:
+    """The parameters of the named check; an unknown name is a ValueError."""
+    if name not in _CHECK_PARAMS:
+        raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+    return _CHECK_PARAMS[name]
+
+
 class Tables:
     """The F, Stirling, c and q tables and the oracle values checks share.
 
@@ -117,7 +124,8 @@ class Tables:
     a later check needs more rows; c is folded from the F table at hand, so
     it has as many rows. Tables passed in are used as they are while they
     cover the rows asked for (fault injection in the tests). One cap,
-    enum_cap, replaces every route's default cap when set.
+    enum_cap, replaces every route's default cap when set; each capped check
+    asks cap() for it before any other work.
     """
 
     def __init__(
@@ -151,27 +159,27 @@ class Tables:
     def q(self, max_n: int) -> IntegerTriangle:
         return self._grow("q", max_n, q_table)
 
-    def cap(self, default: int) -> int:
-        """The enumeration cap: enum_cap when set, else the route's default."""
-        return default if self.enum_cap is None else self.enum_cap
+    def cap(self, what: str, max_n: int, default: int) -> int:
+        """The enumeration cap of a route, enum_cap when set, else its default.
 
-    def oracle(self, n: int, k: int) -> int:
-        """minimal_multiplier_oracle(n, k) under the enumeration cap, memoised."""
+        Enumerating every n up to max_n would meet the cap first at
+        n = cap + 1, so when max_n is over the cap this raises that error
+        before any enumeration runs.
+        """
+        cap = default if self.enum_cap is None else self.enum_cap
+        if max_n > cap:
+            raise EnumerationCapError(what, cap + 1, cap)
+        return cap
+
+    def oracle(self, n: int, k: int, cap: int) -> int:
+        """minimal_multiplier_oracle(n, k) under the cap cap() gave, memoised."""
         if (n, k) not in self._oracle:
-            cap = self.cap(DEFAULT_ORACLE_CAP)
             self._oracle[n, k] = minimal_multiplier_oracle(n, k, cap=cap)
         return self._oracle[n, k]
 
 
 def _fail(name: str, tested: str, params: str, lhs, rhs) -> CheckReport:
     return CheckReport(name, tested, False, Counterexample(params, str(lhs), str(rhs)))
-
-
-def _enumerable(what: str, max_n: int, cap: int) -> None:
-    """Raise, before any enumeration runs, the cap error that enumerating every
-    n up to max_n would meet first, at n = cap + 1."""
-    if max_n > cap:
-        raise EnumerationCapError(what, cap + 1, cap)
 
 
 def minimal_multiplier_oracle(n: int, k: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
@@ -200,9 +208,10 @@ def minimal_multiplier_oracle(n: int, k: int, cap: int = DEFAULT_ORACLE_CAP) -> 
 def check_theorem1(max_n: int, tables: Tables | None = None) -> CheckReport:
     """Oracle for the first derivative equals lcm(1..n)."""
     tables = tables or Tables()
+    cap = tables.cap("minimal multiplier oracle", max_n, DEFAULT_ORACLE_CAP)
     name, tested = "theorem1", f"1 <= n <= {max_n}"
     for n in range(1, max_n + 1):
-        lhs = tables.oracle(n, 1)
+        lhs = tables.oracle(n, 1, cap)
         rhs = lcm_range(n)
         if lhs != rhs:
             return _fail(name, tested, f"n={n}", f"oracle={lhs}", f"lcm(1..n)={rhs}")
@@ -214,13 +223,14 @@ def check_theorem2(
 ) -> CheckReport:
     """c-table equals the oracle, and c(n, k) divides q(n, k)."""
     tables = tables or Tables()
+    cap = tables.cap("minimal multiplier oracle", oracle_max_n, DEFAULT_ORACLE_CAP)
     name = "theorem2"
     tested = f"oracle equality for n <= {oracle_max_n}; divisibility for n <= {divisibility_max_n}"
     hi = max(oracle_max_n, divisibility_max_n)
     c, q = tables.c(hi), tables.q(hi)
     for n in range(oracle_max_n + 1):
         for k in range(n + 1):
-            want = tables.oracle(n, k)
+            want = tables.oracle(n, k, cap)
             if c[n, k] != want:
                 return _fail(name, tested, f"n={n}, k={k}", f"c={c[n, k]}", f"oracle={want}")
     for n in range(divisibility_max_n + 1):
@@ -244,9 +254,7 @@ def check_theorem3(
     divide k! * c(m, k). The witness range obeys the enumeration cap.
     """
     tables = tables or Tables()
-    cap = tables.cap(DEFAULT_WITNESS_CAP)
-    if witness_max_n > cap:
-        raise EnumerationCapError("theorem3 witness compositions", witness_max_n, cap)
+    tables.cap("theorem3 witness compositions", witness_max_n, DEFAULT_WITNESS_CAP)
     name = "theorem3"
     tested = (
         f"divisibility for n <= {divisibility_max_n}; "
@@ -285,6 +293,7 @@ def check_theorem4(
 ) -> CheckReport:
     """The three lambda routes agree; the oracle lcm reproduces them."""
     tables = tables or Tables()
+    cap = tables.cap("minimal multiplier oracle", oracle_max_n, DEFAULT_ORACLE_CAP)
     name = "theorem4"
     tested = f"three routes for n <= {routes_max_n}; oracle lcm for n <= {oracle_max_n}"
     hi = max(routes_max_n, oracle_max_n)
@@ -300,7 +309,7 @@ def check_theorem4(
                 f"lcm(q row)={via_q}, prime product={via_primes}",
             )
     for n in range(oracle_max_n + 1):
-        via_oracle = lcm_list(tables.oracle(n, k) for k in range(n + 1))
+        via_oracle = lcm_list(tables.oracle(n, k, cap) for k in range(n + 1))
         via_c = lcm_list(c.row(n))
         if via_oracle != via_c:
             return _fail(name, tested, f"n={n}", f"oracle lcm={via_oracle}", f"lcm(c row)={via_c}")
@@ -360,9 +369,8 @@ def check_lemma3(max_n: int, tables: Tables | None = None) -> CheckReport:
 def cross_check_f(max_n: int, tables: Tables | None = None) -> CheckReport:
     """All F routes agree entrywise, including both derivative-at-0 routes."""
     tables = tables or Tables()
+    cap = tables.cap("direct composition sum", max_n, DEFAULT_ENUM_CAP)
     name, tested = "proposition1", f"0 <= k <= n <= {max_n}"
-    cap = tables.cap(DEFAULT_ENUM_CAP)
-    _enumerable("direct composition sum", max_n, cap)
     f, s = tables.f(max_n), tables.stirling(max_n)
     for n in range(max_n + 1):
         mono = basis(n).to_monomial()
@@ -392,9 +400,8 @@ def cross_check_f(max_n: int, tables: Tables | None = None) -> CheckReport:
 def check_proposition2(max_n: int, tables: Tables | None = None) -> CheckReport:
     """The q recurrence matches brute-force enumeration."""
     tables = tables or Tables()
+    cap = tables.cap("composition product lcm", max_n, DEFAULT_Q_ENUM_CAP)
     name, tested = "proposition2", f"0 <= k <= n <= {max_n}"
-    cap = tables.cap(DEFAULT_Q_ENUM_CAP)
-    _enumerable("composition product lcm", max_n, cap)
     q, recurrence = tables.q(max_n), q_recurrence(max_n)
     for n in range(max_n + 1):
         for k in range(n + 1):
@@ -410,11 +417,9 @@ def check_proposition2(max_n: int, tables: Tables | None = None) -> CheckReport:
 
 
 def _run(name: str, config: VerifyConfig, tables: Tables) -> CheckReport:
-    if name not in CHECK_NAMES:
-        raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+    params = {p: getattr(config, f"{name}_{p}") for p in _check_params(name)}
     # Looked up by name at call time, so a wrapped module attribute is seen.
     check = globals()["cross_check_f" if name == "proposition1" else f"check_{name}"]
-    params = {p: getattr(config, f"{name}_{p}") for p in _CHECK_PARAMS[name]}
     return check(**params, tables=tables)
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import ivpoly.cli as cli
 from ivpoly import f_table, lambda_product, lcm_list, lcm_range
-from ivpoly.verify import CheckReport, Counterexample
+from ivpoly.verify import CHECK_NAMES, CheckReport, Counterexample
 from golden import GOLDEN_C, GOLDEN_LAMBDA, GOLDEN_Q
 
 
@@ -233,6 +233,7 @@ CAPPED_CASES = [
     ("theorem1", 15, "minimal multiplier oracle: n = 15 exceeds the enumeration cap 14", None),
     ("theorem2", 15, "minimal multiplier oracle: n = 15 exceeds the enumeration cap 14", None),
     ("theorem3", 15, "theorem3 witness compositions: n = 15 exceeds the enumeration cap 14", None),
+    ("theorem3", 20, "theorem3 witness compositions: n = 15 exceeds the enumeration cap 14", None),
     ("theorem4", 15, "minimal multiplier oracle: n = 15 exceeds the enumeration cap 14", None),
     ("proposition1", 23, "direct composition sum: n = 23 exceeds the enumeration cap 22", None),
     ("proposition2", 19, "composition product lcm: n = 19 exceeds the enumeration cap 18", None),
@@ -314,3 +315,52 @@ def test_invalid_env_cap_exits_two(monkeypatch, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["verify", "all"])
     assert excinfo.value.code == 2
+
+
+FUZZED_ARGV = st.one_of(
+    st.builds(
+        lambda kind, n, fmt: ["table", kind, "--max-n", str(n), "--format", fmt],
+        st.sampled_from(cli.TABLE_KINDS + ("x",)),
+        st.integers(min_value=-1, max_value=30),
+        st.sampled_from(cli.FORMATS + ("yaml",)),
+    ),
+    st.builds(
+        lambda kind, n, fmt, factored: ["seq", kind, "--max-n", str(n), "--format", fmt]
+        + ["--factored"] * factored,
+        st.sampled_from(cli.SEQ_KINDS),
+        st.integers(min_value=-1, max_value=300),
+        st.sampled_from(cli.FORMATS),
+        st.booleans(),
+    ),
+    st.builds(
+        lambda scope, n: ["verify", scope, "--max-n", str(n)],
+        st.sampled_from(("all",) + CHECK_NAMES),
+        st.integers(min_value=-1, max_value=8),
+    ),
+)
+FUZZED_ENV_CAPS = (None, "", "0", "-2", "x", "3", " 7 ", "9" * 5000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FUZZED_ARGV, st.sampled_from(FUZZED_ENV_CAPS))
+def test_fuzzed_argv_ends_in_a_documented_exit_code(argv, env_cap):
+    # Any other exception escapes cli.main and fails the test. os.environ is
+    # restored by hand, as hypothesis rejects function-scoped fixtures.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    saved = os.environ.pop("IVPOLY_ENUM_CAP", None)
+    if env_cap is not None:
+        os.environ["IVPOLY_ENUM_CAP"] = env_cap
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exit_:
+                code = exit_.code
+    finally:
+        os.environ.pop("IVPOLY_ENUM_CAP", None)
+        if saved is not None:
+            os.environ["IVPOLY_ENUM_CAP"] = saved
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == digit_limit

@@ -15,7 +15,7 @@ from ivpoly import (
     vp_int,
     vp_rat,
 )
-from ivpoly.exact_arith import PRIMALITY_CHECK_LIMIT, is_prime, lcm_ratios, radicals
+from ivpoly.exact_arith import is_prime, lcm_ratios, radicals
 
 
 @pytest.mark.parametrize(
@@ -44,9 +44,11 @@ def test_vp_int_rejects_composite(p):
         vp_int(10, p)
 
 
-def test_vp_int_rejects_huge_prime_candidates():
+def test_vp_int_reads_primality_past_a_million():
+    # The sieve gate has no upper limit: 1_000_003 is prime, 1_000_001 = 101 * 9901.
+    assert vp_int(5 * 1_000_003**2, 1_000_003) == 2
     with pytest.raises(ValueError):
-        vp_int(10, PRIMALITY_CHECK_LIMIT + 3)
+        vp_int(10, 1_000_001)
 
 
 @pytest.mark.parametrize(

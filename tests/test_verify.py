@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -238,13 +239,24 @@ def test_theorem3_witness_cap():
         ("check_proposition2", "q_direct", None, 19),
         ("cross_check_f", "f_direct", 5, 6),
         ("check_proposition2", "q_direct", 5, 6),
+        ("check_theorem1", "minimal_multiplier_oracle", None, 15),
+        ("check_theorem2", "minimal_multiplier_oracle", None, 15),
+        ("check_theorem3", "from_values", None, 15),
+        ("check_theorem4", "minimal_multiplier_oracle", None, 15),
+        ("check_theorem1", "minimal_multiplier_oracle", 5, 6),
+        ("check_theorem2", "minimal_multiplier_oracle", 5, 6),
+        ("check_theorem3", "from_values", 5, 6),
+        ("check_theorem4", "minimal_multiplier_oracle", 5, 6),
     ],
 )
 def test_capped_checks_raise_before_enumerating(check, route, enum_cap, first_over, monkeypatch):
-    # The error names the first n over the cap, not the requested range.
+    # The error names the first n over the cap, not the requested range, and
+    # comes before the route runs even once.
     monkeypatch.setattr(verify, route, lambda *args, **kwargs: pytest.fail("enumerated"))
+    check = getattr(verify, check)
+    ranges = [30] * (len(inspect.signature(check).parameters) - 1)
     with pytest.raises(EnumerationCapError) as excinfo:
-        getattr(verify, check)(30, tables=Tables(enum_cap=enum_cap))
+        check(*ranges, tables=Tables(enum_cap=enum_cap))
     assert (excinfo.value.requested, excinfo.value.cap) == (first_over, first_over - 1)
 
 
@@ -263,6 +275,14 @@ def test_run_all_with_zero_ranges_passes_trivially():
 def test_run_check_rejects_unknown_name():
     with pytest.raises(ValueError):
         run_check("nosuch")
+
+
+def test_with_max_n_rejects_unknown_name_like_run_check():
+    message = f"unknown check 'nosuch'; known: {', '.join(CHECK_NAMES)}"
+    for call in (lambda: run_check("nosuch"), lambda: VerifyConfig().with_max_n(3, "nosuch")):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
 
 
 def test_config_override_single_check():
