@@ -8,36 +8,68 @@ derivation operator in powers of the forward difference; the rational
 expansion coefficients are supplied as a RationalTriangle (see
 ``stirling.f_table``). A monomial-basis representation with the ordinary
 power rule is kept alongside as an independent route to the same derivatives.
+
+Every number keeps the exact type its arithmetic gives: exact ints stay ints,
+and a Fraction appears only where a division happens (the 1/j! of
+``to_monomial`` and the F table that ``derivative`` reads).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .triangles import RationalTriangle
 
 
-def _normalize(coeffs: Iterable[Fraction | int]) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+def falling_factorials() -> Iterator[list[int]]:
+    """Monomial coefficients of X(X-1)...(X-j+1) = j! * C(X, j) for j = 0, 1, ...
+
+    Row j lists the coefficients of X^0 .. X^j; row j + 1 is row j times
+    (X - j).
+    """
+    row = [1]
+    for j in itertools.count():
+        yield row
+        row = [a - j * b for a, b in zip([0, *row], [*row, 0])]
 
 
-class BinomialPoly:
-    """Polynomial stored by its coefficients over C(X, j); zero is ()."""
+class _Poly:
+    """Coefficients over one basis, trailing zeros trimmed; zero is ().
+
+    Two polynomials are equal when they have the same type and the same
+    coefficients, so a BinomialPoly never equals a MonomialPoly.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        self.coeffs = _normalize(coeffs)
+        out = list(coeffs)
+        while out and out[-1] == 0:
+            out.pop()
+        self.coeffs: tuple[Fraction | int, ...] = tuple(out)
 
     @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.coeffs == self.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}([{', '.join(str(c) for c in self.coeffs)}])"
+
+
+class BinomialPoly(_Poly):
+    """Polynomial stored by its coefficients over C(X, j)."""
+
+    __slots__ = ()
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -65,7 +97,7 @@ class BinomialPoly:
             raise ValueError(
                 f"coefficient table covers rows up to {table.max_n}, need {deg}"
             )
-        acc = [Fraction(0)] * (deg - k + 1)
+        acc = [0] * (deg - k + 1)
         for m in range(k, deg + 1):
             factor = table[m, k] if (m - k) % 2 == 0 else -table[m, k]
             if factor == 0:
@@ -74,9 +106,9 @@ class BinomialPoly:
                 acc[j] += factor * self.coeffs[j + m]
         return BinomialPoly(acc)
 
-    def eval_int(self, x: int) -> Fraction:
+    def eval_int(self, x: int) -> Fraction | int:
         """Exact value at an integer (negative allowed), via C(x, j) products."""
-        total = Fraction(0)
+        total = 0
         binom = 1  # C(x, 0)
         for j, c in enumerate(self.coeffs):
             if j > 0:
@@ -91,48 +123,21 @@ class BinomialPoly:
         return all(c.denominator == 1 for c in self.coeffs)
 
     def to_monomial(self) -> "MonomialPoly":
-        """Exact change of basis to powers of X."""
-        deg = self.degree
-        if deg is None:
-            return MonomialPoly()
-        out = [Fraction(0)] * (deg + 1)
-        falling = [1]  # monomial coefficients of X(X-1)...(X-j+1), X^0 first
-        factorial = 1
-        for j, c in enumerate(self.coeffs):
-            if j > 0:
-                shifted = [0] + falling
-                falling = [
-                    shifted[i] - (j - 1) * (falling[i] if i < len(falling) else 0)
-                    for i in range(j + 1)
-                ]
-                factorial *= j
+        """Exact change of basis to powers of X: C(X, j) = falling row j / j!."""
+        out = [0] * len(self.coeffs)
+        for j, (c, falling) in enumerate(zip(self.coeffs, falling_factorials())):
             if c:
+                factorial = math.factorial(j)
                 for i, s in enumerate(falling):
                     if s:
                         out[i] += c * Fraction(s, factorial)
         return MonomialPoly(out)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BinomialPoly) and other.coeffs == self.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"BinomialPoly([{', '.join(str(c) for c in self.coeffs)}])"
-
-
-class MonomialPoly:
+class MonomialPoly(_Poly):
     """Polynomial over the monomial basis; the oracle route for derivatives."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        self.coeffs = _normalize(coeffs)
-
-    @property
-    def degree(self) -> int | None:
-        return len(self.coeffs) - 1 if self.coeffs else None
+    __slots__ = ()
 
     def derivative(self, k: int = 1) -> "MonomialPoly":
         """k-th derivative by the power rule."""
@@ -145,8 +150,8 @@ class MonomialPoly:
             self.coeffs[i] * math.perm(i, k) for i in range(k, deg + 1)
         )
 
-    def eval(self, x: Fraction | int) -> Fraction:
-        total = Fraction(0)
+    def eval(self, x: Fraction | int) -> Fraction | int:
+        total = 0
         for c in reversed(self.coeffs):
             total = total * x + c
         return total
@@ -156,15 +161,6 @@ class MonomialPoly:
         if deg is None:
             return BinomialPoly()
         return from_values([self.eval(x) for x in range(deg + 1)])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MonomialPoly) and other.coeffs == self.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"MonomialPoly([{', '.join(str(c) for c in self.coeffs)}])"
 
 
 def basis(n: int) -> BinomialPoly:
@@ -178,9 +174,10 @@ def from_values(values: Sequence[Fraction | int]) -> BinomialPoly:
     """Newton forward-difference interpolation of the values P(0), P(1), ...
 
     Returns the unique polynomial of degree < len(values) taking those values;
-    its j-th basis coefficient is the j-th forward difference at 0.
+    its j-th basis coefficient is the j-th forward difference at 0, an int
+    when the values are ints.
     """
-    diffs = [Fraction(v) for v in values]
+    diffs = list(values)
     coeffs = []
     while diffs:
         coeffs.append(diffs[0])

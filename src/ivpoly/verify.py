@@ -4,19 +4,20 @@ Every check recomputes its claim through an independent route (enumeration,
 interpolation, or the monomial power rule) and reports the first
 counterexample on failure, so a run doubles as a certificate at the
 configured ranges. Ranges live in VerifyConfig, one ``<check>_<param>``
-field per keyword of the check function; the tables and oracle values the
-checks share live in one Tables context. Nothing here is randomized, hence
-two runs with the same config produce identical reports.
+field per keyword of the check function; the tables the checks share live in
+one Tables context. Nothing here is randomized, hence two runs with the same
+config produce identical reports.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .binomial_poly import basis, from_values
+from .binomial_poly import MonomialPoly, basis, falling_factorials, from_values
 from .constants import DEFAULT_Q_ENUM_CAP, c_table, lambda_product, q_direct, q_recurrence, q_table
 from .exact_arith import EnumerationCapError, lcm_list, lcm_range, vp_int, vp_rat
 from .stirling import (
@@ -118,7 +119,7 @@ def _check_params(name: str) -> list[str]:
 
 
 class Tables:
-    """The F, Stirling, c and q tables and the oracle values checks share.
+    """The F, Stirling, c and q tables the checks share.
 
     A table is built the first time a check asks for it and rebuilt only when
     a later check needs more rows; c is folded from the F table at hand, so
@@ -139,7 +140,6 @@ class Tables:
     ):
         self.enum_cap = enum_cap
         self._tables = {"f": f, "s": s, "c": c, "q": q}
-        self._oracle: dict[tuple[int, int], int] = {}
 
     def _grow(self, kind: str, max_n: int, build):
         table = self._tables[kind]
@@ -171,12 +171,6 @@ class Tables:
             raise EnumerationCapError(what, cap + 1, cap)
         return cap
 
-    def oracle(self, n: int, k: int, cap: int) -> int:
-        """minimal_multiplier_oracle(n, k) under the cap cap() gave, memoised."""
-        if (n, k) not in self._oracle:
-            self._oracle[n, k] = minimal_multiplier_oracle(n, k, cap=cap)
-        return self._oracle[n, k]
-
 
 def _fail(name: str, tested: str, params: str, lhs, rhs) -> CheckReport:
     return CheckReport(name, tested, False, Counterexample(params, str(lhs), str(rhs)))
@@ -188,20 +182,25 @@ def minimal_multiplier_oracle(n: int, k: int, cap: int = DEFAULT_ORACLE_CAP) -> 
     Quantifying over the basis polynomials C(X, m), m <= n, suffices: every
     integer-valued polynomial of degree <= n is an integer combination of
     them, and P -> a * P^(k) is linear, so integrality on the basis implies
-    integrality everywhere. Each basis derivative is taken in the monomial
-    basis (power rule) and converted back, keeping this route independent of
-    the difference-expansion machinery it is used to certify. The answer is
-    the lcm of all basis-coefficient denominators; for k > n it is 1.
+    integrality everywhere. The route runs in integers: m! * C(X, m) is the
+    falling factorial X(X-1)...(X-m+1), whose monomial coefficients are
+    integers, and its k-th derivative by the power rule, converted back to
+    the binomial basis by differences of its values, has integer
+    coefficients D_j. C(X, m)^(k) then has coefficients D_j / m!, with
+    denominators m! / gcd(m!, D_j), and the answer is the lcm of those over
+    k <= m <= n; for k > n it is 1. No F table is read, so this route stays
+    independent of the difference-expansion machinery it is used to certify.
     """
     if n < 0 or k < 0:
         raise ValueError(f"need n, k >= 0, got ({n}, {k})")
     if n > cap:
         raise EnumerationCapError("minimal multiplier oracle", n, cap)
     out = 1
-    for m in range(k, n + 1):
-        derived = basis(m).to_monomial().derivative(k).to_binomial()
-        for coeff in derived.coeffs:
-            out = math.lcm(out, coeff.denominator)
+    rows = itertools.islice(falling_factorials(), k, n + 1)
+    for m, row in enumerate(rows, start=k):
+        scale = math.factorial(m)
+        for coeff in MonomialPoly(row).derivative(k).to_binomial().coeffs:
+            out = math.lcm(out, scale // math.gcd(scale, coeff))
     return out
 
 
@@ -211,7 +210,7 @@ def check_theorem1(max_n: int, tables: Tables | None = None) -> CheckReport:
     cap = tables.cap("minimal multiplier oracle", max_n, DEFAULT_ORACLE_CAP)
     name, tested = "theorem1", f"1 <= n <= {max_n}"
     for n in range(1, max_n + 1):
-        lhs = tables.oracle(n, 1, cap)
+        lhs = minimal_multiplier_oracle(n, 1, cap)
         rhs = lcm_range(n)
         if lhs != rhs:
             return _fail(name, tested, f"n={n}", f"oracle={lhs}", f"lcm(1..n)={rhs}")
@@ -230,7 +229,7 @@ def check_theorem2(
     c, q = tables.c(hi), tables.q(hi)
     for n in range(oracle_max_n + 1):
         for k in range(n + 1):
-            want = tables.oracle(n, k, cap)
+            want = minimal_multiplier_oracle(n, k, cap)
             if c[n, k] != want:
                 return _fail(name, tested, f"n={n}, k={k}", f"c={c[n, k]}", f"oracle={want}")
     for n in range(divisibility_max_n + 1):
@@ -309,7 +308,7 @@ def check_theorem4(
                 f"lcm(q row)={via_q}, prime product={via_primes}",
             )
     for n in range(oracle_max_n + 1):
-        via_oracle = lcm_list(tables.oracle(n, k, cap) for k in range(n + 1))
+        via_oracle = lcm_list(minimal_multiplier_oracle(n, k, cap) for k in range(n + 1))
         via_c = lcm_list(c.row(n))
         if via_oracle != via_c:
             return _fail(name, tested, f"n={n}", f"oracle lcm={via_oracle}", f"lcm(c row)={via_c}")
@@ -322,12 +321,12 @@ def check_lemma1(max_n: int, tables: Tables | None = None) -> CheckReport:
     name, tested = "lemma1", f"1 <= n <= {max_n}"
     for n in range(1, max_n + 1):
         slope = basis(n).derivative(1, f)
-        total = Fraction(0)
+        total = 0
         for k in range(n):
             value = slope.eval_int(k)
             if value == 0:
                 return _fail(name, tested, f"n={n}, k={k}", "slope=0", "expected nonzero")
-            total += 1 / abs(value)
+            total += Fraction(1, abs(value))
         if total / n != 2 ** (n - 1):
             return _fail(name, tested, f"n={n}", f"mean={total / n}", f"expected={2 ** (n - 1)}")
     return CheckReport(name, tested, True)

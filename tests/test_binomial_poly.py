@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +12,9 @@ from ivpoly import (
     basis,
     f_table,
     from_values,
+    stirling_first,
 )
+from ivpoly.binomial_poly import falling_factorials
 
 F12 = f_table(12)
 
@@ -97,6 +100,25 @@ def test_is_integer_valued():
 def test_from_values_interpolates():
     assert from_values([0, 1, 3]).coeffs == (Fraction(0), Fraction(1), Fraction(1))
     assert from_values([]).is_zero()
+
+
+def test_integer_arithmetic_stays_in_ints():
+    for p in (from_values([0, 1, 3]), MonomialPoly([0, 0, 1]).to_binomial()):
+        assert p.coeffs and all(type(c) is int for c in p.coeffs)
+    assert type(BinomialPoly([Fraction(1, 2), 1]).coeffs[0]) is Fraction
+
+
+def test_equality_ignores_the_number_type_but_not_the_basis():
+    ints, fractions = BinomialPoly([1, 2]), BinomialPoly([Fraction(1), Fraction(2)])
+    assert ints == fractions and hash(ints) == hash(fractions)
+    assert BinomialPoly([1]) != MonomialPoly([1])
+    assert repr(MonomialPoly([0, Fraction(1, 2)])) == "MonomialPoly([0, 1/2])"
+
+
+def test_falling_factorials_are_the_stirling_rows():
+    # Two independent recurrences: X(X-1)...(X-j+1) against s(n, k).
+    rows = list(itertools.islice(falling_factorials(), 31))
+    assert rows == [list(row) for row in stirling_first(30).rows]
 
 
 def test_monomial_round_trip_examples():

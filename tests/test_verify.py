@@ -1,4 +1,5 @@
 import inspect
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from ivpoly import (
     IntegerTriangle,
     RationalTriangle,
     VerifyConfig,
+    basis,
     c_table,
     d_table,
     f_table,
@@ -64,6 +66,22 @@ def small_tables():
     c = c_table(d_table(f))
     q = q_table(8)
     return f, c, q
+
+
+def _fraction_oracle(n, k):
+    """The multiplier oracle over Fraction coefficients: each C(X, m) to the
+    monomial basis, the power rule, and back."""
+    out = 1
+    for m in range(k, n + 1):
+        derived = basis(m).to_monomial().derivative(k).to_binomial()
+        out = math.lcm(out, *(Fraction(c).denominator for c in derived.coeffs))
+    return out
+
+
+def test_integer_oracle_matches_the_fraction_route():
+    for n in range(13):
+        for k in range(n + 2):
+            assert minimal_multiplier_oracle(n, k) == _fraction_oracle(n, k), (n, k)
 
 
 def test_oracle_fixed_values():
