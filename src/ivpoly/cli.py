@@ -11,15 +11,22 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .constants import c_table, lambda_factorizations, q_table
+from .constants import c_rows, lambda_factorizations, q_rows
 from .exact_arith import EnumerationCapError, lcm_ratios, radicals
-from .stirling import d_table, f_table, stirling_first
+from .stirling import d_rows, f_rows, stirling_rows
 from .verify import CHECK_NAMES, VerifyConfig, run_all, run_check
 
-TABLE_KINDS = ("c", "q", "d", "F", "stirling")
+# Each table kind's rows, made one at a time from the row above.
+ROW_SOURCES = {
+    "c": lambda max_n: c_rows(d_rows(f_rows(max_n))),
+    "q": q_rows,
+    "d": lambda max_n: d_rows(f_rows(max_n)),
+    "F": f_rows,
+    "stirling": stirling_rows,
+}
+TABLE_KINDS = tuple(ROW_SOURCES)
 SEQ_KINDS = ("lambda", "cn")
 FORMATS = ("md", "csv", "json")
 
@@ -66,40 +73,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fraction_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _table_rows(kind: str, max_n: int) -> list[list[str]]:
-    if kind == "F":
-        return [[_fraction_str(v) for v in row] for row in f_table(max_n).rows]
-    if kind == "stirling":
-        return [[str(v) for v in row] for row in stirling_first(max_n).rows]
-    if kind == "d":
-        return [[str(v) for v in row] for row in d_table(f_table(max_n)).rows]
-    if kind == "q":
-        return [[str(v) for v in row] for row in q_table(max_n).rows]
-    return [[str(v) for v in row] for row in c_table(d_table(f_table(max_n))).rows]
-
-
-def _render_table(kind: str, max_n: int, fmt: str) -> str:
-    rows = _table_rows(kind, max_n)
-    header = ["n"] + [f"k{k}" for k in range(max_n + 1)]
-    if fmt == "json":
-        return json.dumps({"kind": kind, "max_n": max_n, "rows": rows})
-    padded = [
-        [str(n)] + row + [""] * (max_n - n) for n, row in enumerate(rows)
-    ]
-    if fmt == "csv":
-        return "\n".join([",".join(header)] + [",".join(row) for row in padded])
-    lines = ["| " + " | ".join(header) + " |"]
-    lines.append("|" + "---|" * len(header))
-    lines.extend("| " + " | ".join(row) + " |" for row in padded)
-    return "\n".join(lines)
+def _write_joined(head: str, items: Iterable[str], separator: str, tail: str) -> None:
+    """Write head, then the items with separator between them, then tail;
+    each item as it comes, so only one is held at a time."""
+    write = sys.stdout.write
+    write(head)
+    gap = ""
+    for item in items:
+        write(gap + item)
+        gap = separator
+    write(tail)
 
 
 def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    print(_render_table(args.kind, args.max_n, args.format))
+    kind, max_n = args.kind, args.max_n
+    cell = (lambda v: f"{v.numerator}/{v.denominator}") if kind == "F" else str
+    rows = ([*map(cell, row)] for row in ROW_SOURCES[kind](max_n))
+    if args.format == "json":
+        head = f'{{"kind": {json.dumps(kind)}, "max_n": {max_n}, "rows": ['
+        _write_joined(head, map(json.dumps, rows), ", ", "]}\n")
+        return 0
+    lead, sep, trail = ("", ",", "") if args.format == "csv" else ("| ", " | ", " |")
+    head = lead + sep.join(["n", *(f"k{k}" for k in range(max_n + 1))]) + trail + "\n"
+    if args.format == "md":
+        head += "|" + "---|" * (max_n + 2) + "\n"
+    # Cells above the diagonal are blank.
+    padded = ([str(n), *cells, *[""] * (max_n - n)] for n, cells in enumerate(rows))
+    _write_joined(head, (lead + sep.join(cells) + trail for cells in padded), "\n", "\n")
     return 0
 
 
@@ -129,17 +129,10 @@ def cmd_seq(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         terms = _running_products(radicals(args.max_n))
     else:
         terms = _running_products(lcm_ratios(args.max_n))
-    # Terms are written as they come, so only one is held at a time.
-    write = sys.stdout.write
     if args.format == "json":
-        separator = "["
-        for term in terms:
-            write(separator + json.dumps(term))
-            separator = ", "
-        write("]\n")
+        _write_joined("[", map(json.dumps, terms), ", ", "]\n")
     else:
-        for term in terms:
-            write(term + "\n")
+        _write_joined("", terms, "\n", "\n")
     return 0
 
 

@@ -15,7 +15,7 @@ p-adic valuations, and ``q_recurrence`` (the lcm recurrence) and
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .exact_arith import EnumerationCapError, PrimeFactorization, lcm_list, primes_up_to
 from .stirling import compositions
@@ -26,19 +26,42 @@ from .triangles import IntegerTriangle
 DEFAULT_Q_ENUM_CAP = 18
 
 
+def c_rows(d_rows: Iterable[Sequence[int]]) -> Iterator[list[int]]:
+    """The rows of c from the rows of d: each column keeps its running lcm,
+    and the diagonal entry c(n, n) = d(n, n) opens it."""
+    row: list[int] = []
+    for d in d_rows:
+        row = [*map(math.lcm, row, d), d[-1]]
+        yield row
+
+
 def c_table(d: IntegerTriangle) -> IntegerTriangle:
     """Column-wise lcm folds of the d-table, row for row: entry (n, k) is
     lcm of d(m, k) for k <= m <= n."""
-    rows: list[list[int]] = []
-    for n in range(d.max_n + 1):
-        row = []
-        for k in range(n + 1):
-            if k == n:
-                row.append(d[n, n])
-            else:
-                row.append(math.lcm(rows[n - 1][k], d[n, k]))
-        rows.append(row)
-    return IntegerTriangle(rows)
+    return IntegerTriangle(c_rows(d.rows))
+
+
+def q_rows(max_n: int) -> Iterator[list[int]]:
+    """Rows 0..max_n of q: row n is row n - 1 times the small steps read from
+    the valuation thresholds that fall on n (see q_table), and q(n, n) = 1."""
+    if max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    primes = primes_up_to(max_n)
+    row = [1]
+    yield row
+    for n in range(1, max_n + 1):
+        steps = [1] * (n + 1)
+        for p in primes:
+            if p > n:
+                break
+            u = n * p
+            while u % p == 0:  # u runs over n / p**t for each p**t dividing n
+                u //= p
+                # k = u - r*(p - 1) for 1 <= r <= u // p
+                for k in range(u - p + 1, u - u // p * (p - 1) - 1, 1 - p):
+                    steps[k] *= p
+        row = [entry * step if step != 1 else entry for entry, step in zip([*row, 1], steps)]
+        yield row
 
 
 def q_table(max_n: int) -> IntegerTriangle:
@@ -60,30 +83,15 @@ def q_table(max_n: int) -> IntegerTriangle:
     prod over p of p**(n // p), the paper's lambda(n).
 
     For fixed (k, p) the valuation rises by one exactly at n = cost_k(E),
-    E = 1, 2, ...; those E = k*t + r with 1 <= r <= k form the arithmetic
-    progression k * p**t + r * p**t * (p - 1). So each column starts from
-    q(k, k) = 1 and steps down by q(n, k) = q(n - 1, k) times the product of
-    the primes with a threshold at n: one big-by-small multiplication per
-    entry that changes, over one sieve of the primes up to max_n.
+    E = 1, 2, ...; those E = k*t + r with 1 <= r <= k are
+    n = p**t * (k + r*(p - 1)). Read by row: for each prime p <= n and each
+    p**t dividing n (t >= 0), with u = n / p**t, the entries
+    k = u - r*(p - 1), 1 <= r <= u // p, gain one factor p over row n - 1.
+    So row n is row n - 1 times a row of small step factors, one
+    big-by-small multiplication per entry that changes, with q(n, n) = 1,
+    over one sieve of the primes up to max_n.
     """
-    if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
-    primes = primes_up_to(max_n)
-    rows: list[list[int]] = [[1] for _ in range(max_n + 1)]
-    for k in range(1, max_n + 1):
-        steps = [1] * (max_n + 1)
-        for p in primes:
-            power = 1
-            while (first := power * (k + p - 1)) <= max_n:
-                for n in range(first, min(k * power * p, max_n) + 1, power * (p - 1)):
-                    steps[n] *= p
-                power *= p
-        entry = 1
-        for n in range(k, max_n + 1):
-            if steps[n] != 1:
-                entry *= steps[n]
-            rows[n].append(entry)
-    return IntegerTriangle(rows)
+    return IntegerTriangle(q_rows(max_n))
 
 
 def q_recurrence(max_n: int) -> IntegerTriangle:

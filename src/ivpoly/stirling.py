@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .exact_arith import EnumerationCapError
 from .triangles import IntegerTriangle, RationalTriangle, StirlingTable
@@ -41,23 +41,41 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def stirling_rows(max_n: int) -> Iterator[list[int]]:
+    """Rows 0..max_n of the Stirling numbers of the first kind, each from the
+    row above by s(n+1, k) = s(n, k-1) - n*s(n, k), from s(0, 0) = 1."""
+    if max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    row = [1]
+    yield row
+    for n in range(max_n):
+        row = [left - n * right for left, right in zip([0, *row], [*row, 0])]
+        yield row
+
+
 def stirling_first(max_n: int) -> StirlingTable:
     """Triangle of Stirling numbers of the first kind up to row max_n.
 
     Built from s(0, 0) = 1 by s(n+1, k) = s(n, k-1) - n*s(n, k).
     """
+    return StirlingTable(stirling_rows(max_n))
+
+
+def f_rows(max_n: int) -> Iterator[list[Fraction]]:
+    """Rows 0..max_n of F, each made from the row above by
+    F(n+1, k) = k/(n+1) * F(n, k-1) + n/(n+1) * F(n, k), from F(0, 0) = 1."""
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
-    rows = [[1]]
+    row = [Fraction(1)]
+    yield row
     for n in range(max_n):
-        prev = rows[-1]
-        rows.append(
-            [
-                (prev[k - 1] if 1 <= k <= n + 1 else 0) - n * (prev[k] if k <= n else 0)
-                for k in range(n + 2)
-            ]
-        )
-    return StirlingTable(rows)
+        prev, row = row, [Fraction(0)]
+        for k in range(1, n + 2):
+            entry = Fraction(k, n + 1) * prev[k - 1]
+            if k <= n:
+                entry += Fraction(n, n + 1) * prev[k]
+            row.append(entry)
+        yield row
 
 
 def f_table(max_n: int) -> RationalTriangle:
@@ -66,19 +84,7 @@ def f_table(max_n: int) -> RationalTriangle:
     F(0, 0) = 1 and F(n, 0) = 0 for n >= 1; each later entry is
     F(n+1, k) = k/(n+1) * F(n, k-1) + n/(n+1) * F(n, k).
     """
-    if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
-    rows = [[Fraction(1)]]
-    for n in range(max_n):
-        prev = rows[-1]
-        row = [Fraction(0)]
-        for k in range(1, n + 2):
-            entry = Fraction(k, n + 1) * prev[k - 1]
-            if k <= n:
-                entry += Fraction(n, n + 1) * prev[k]
-            row.append(entry)
-        rows.append(row)
-    return RationalTriangle(rows)
+    return RationalTriangle(f_rows(max_n))
 
 
 def f_direct(n: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
@@ -131,6 +137,11 @@ def f_from_partial_sums(n: int, k: int, table: RationalTriangle) -> Fraction:
     )
 
 
+def d_rows(rows: Iterable[Iterable[Fraction]]) -> Iterator[list[int]]:
+    """The denominators of the F rows, row by row."""
+    return ([entry.denominator for entry in row] for row in rows)
+
+
 def d_table(f: RationalTriangle) -> IntegerTriangle:
     """Elementwise denominators of the F triangle (den of 0 and 1 is 1)."""
-    return IntegerTriangle([[entry.denominator for entry in row] for row in f.rows])
+    return IntegerTriangle(d_rows(f.rows))

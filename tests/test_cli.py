@@ -13,7 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ivpoly.cli as cli
-from ivpoly import f_table, lambda_product, lcm_list, lcm_range
+from ivpoly import (
+    c_table,
+    d_table,
+    f_table,
+    lambda_product,
+    lcm_list,
+    lcm_range,
+    q_table,
+    stirling_first,
+)
 from ivpoly.verify import CHECK_NAMES, CheckReport, Counterexample
 from golden import GOLDEN_C, GOLDEN_LAMBDA, GOLDEN_Q
 
@@ -24,24 +33,73 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
-def _expected_csv(rows, max_n):
-    lines = ["n," + ",".join(f"k{k}" for k in range(max_n + 1))]
-    for n, row in enumerate(rows):
-        cells = [str(n)] + [str(v) for v in row] + [""] * (max_n - n)
-        lines.append(",".join(cells))
+def _expected_table(kind, rows, max_n, fmt):
+    """The whole output of `table` for these rows, rendered in one piece."""
+    cells = [
+        [f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else str(v) for v in row]
+        for row in rows
+    ]
+    if fmt == "json":
+        return json.dumps({"kind": kind, "max_n": max_n, "rows": cells}) + "\n"
+    header = ["n"] + [f"k{k}" for k in range(max_n + 1)]
+    padded = [[str(n)] + row + [""] * (max_n - n) for n, row in enumerate(cells)]
+    if fmt == "csv":
+        lines = [",".join(line) for line in [header] + padded]
+    else:
+        lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+        lines += ["| " + " | ".join(line) + " |" for line in padded]
     return "\n".join(lines) + "\n"
+
+
+TRIANGLES = {
+    "c": lambda max_n: c_table(d_table(f_table(max_n))),
+    "q": q_table,
+    "d": lambda max_n: d_table(f_table(max_n)),
+    "F": f_table,
+    "stirling": stirling_first,
+}
 
 
 def test_table_c_csv_matches_golden(capsys):
     code, out = run_cli(capsys, "table", "c", "--max-n", "10", "--format", "csv")
     assert code == 0
-    assert out == _expected_csv(GOLDEN_C, 10)
+    assert out == _expected_table("c", GOLDEN_C, 10, "csv")
 
 
 def test_table_q_csv_matches_golden(capsys):
     code, out = run_cli(capsys, "table", "q", "--max-n", "10", "--format", "csv")
     assert code == 0
-    assert out == _expected_csv(GOLDEN_Q, 10)
+    assert out == _expected_table("q", GOLDEN_Q, 10, "csv")
+
+
+@pytest.mark.parametrize("max_n", [0, 1, 10, 60])
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("kind", cli.TABLE_KINDS)
+def test_table_matches_the_reference_renderer(kind, fmt, max_n, capsys):
+    # The streamed rows against the whole triangle, formatted independently.
+    code, out = run_cli(capsys, "table", kind, "--max-n", str(max_n), "--format", fmt)
+    assert code == 0
+    assert out == _expected_table(kind, TRIANGLES[kind](max_n).rows, max_n, fmt)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+def test_table_memory_does_not_grow_with_the_output():
+    # Building the whole table and its text before writing took 200 MB for
+    # stirling and 142 MB for q at n = 500; written row by row, each run stays
+    # under 20 MB. Linux counts the forking process's high-water mark into the
+    # child's ru_maxrss, so a small wrapper starts the runs and reports the
+    # largest of them.
+    wrapper = (
+        "import resource, subprocess, sys\n"
+        "for kind in sys.argv[1:]:\n"
+        "    argv = ['-m', 'ivpoly', 'table', kind, '--max-n', '500', '--format', 'csv']\n"
+        "    subprocess.run([sys.executable, *argv], stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", wrapper, "stirling", "q"], capture_output=True, check=True
+    )
+    assert int(proc.stdout) < 60 * 1024
 
 
 def test_table_q_in_near_quadratic_time():

@@ -34,6 +34,15 @@ def test_q_table_matches_golden(q20):
         assert list(q20.row(n)) == row, f"row {n}"
 
 
+def test_c_is_the_column_lcm_of_d():
+    # c(n, k) = lcm of d(m, k) over k <= m <= n, each entry from its definition.
+    d = d_table(f_table(80))
+    c = c_table(d)
+    for n in range(81):
+        for k in range(n + 1):
+            assert c[n, k] == lcm_list(d[m, k] for m in range(k, n + 1)), (n, k)
+
+
 def test_c_table_fixed_entries(c20):
     assert c20[4, 2] == 12
     assert c20[9, 3] == 15120
