@@ -27,6 +27,7 @@ from .stirling import (
     f_from_partial_sums,
     f_from_stirling,
     f_from_subsets,
+    f_recurrence,
     f_table,
     stirling_first,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "f_from_partial_sums",
     "f_from_stirling",
     "f_from_subsets",
+    "f_recurrence",
     "f_table",
     "from_values",
     "lambda_product",

@@ -2,11 +2,13 @@
 
 F(n, k) is the sum of 1/(i_1 * ... * i_k) over all ordered ways of writing n
 as k positive parts; equivalently k!/n! times |s(n, k)|. The production route
-is a two-term recurrence filling the triangle row by row; four further routes
-(direct enumeration, the Stirling quotient, a subset sum, and a partial-sum
-recurrence) recompute single entries so that each can serve as an oracle for
-the others. The denominators of F form the d-table that the headline
-constants are folded from.
+is that Stirling quotient, read row by row from the integer Stirling rows with
+one reduction per entry; five further routes (direct enumeration, the
+per-entry Stirling quotient, a subset sum, a partial-sum recurrence, and the
+two-term recurrence F(n+1, k) = k/(n+1) * F(n, k-1) + n/(n+1) * F(n, k))
+recompute the entries so that each can serve as an oracle for the others.
+The denominators of F form the d-table that the headline constants are
+folded from.
 """
 
 from __future__ import annotations
@@ -62,12 +64,35 @@ def stirling_first(max_n: int) -> StirlingTable:
 
 
 def f_rows(max_n: int) -> Iterator[list[Fraction]]:
-    """Rows 0..max_n of F, each made from the row above by
-    F(n+1, k) = k/(n+1) * F(n, k-1) + n/(n+1) * F(n, k), from F(0, 0) = 1."""
+    """Rows 0..max_n of F, each read from the Stirling row of the same n as
+    F(n, k) = |s(n, k)| / (n!/k!), with n!/k! built as k walks down from n."""
+    for n, stirling_row in enumerate(stirling_rows(max_n)):
+        row, falling = [], 1
+        for k in range(n, -1, -1):
+            row.append(Fraction(abs(stirling_row[k]), falling))
+            falling *= k
+        row.reverse()
+        yield row
+
+
+def f_table(max_n: int) -> RationalTriangle:
+    """The F triangle up to row max_n, each entry k!/n! * |s(n, k)| reduced
+    once from the integer Stirling row (see ``f_recurrence`` for the oracle).
+    """
+    return RationalTriangle(f_rows(max_n))
+
+
+def f_recurrence(max_n: int) -> RationalTriangle:
+    """The F triangle up to row max_n by its two-term recurrence (the oracle
+    for ``f_table``).
+
+    F(0, 0) = 1 and F(n, 0) = 0 for n >= 1; each later entry is
+    F(n+1, k) = k/(n+1) * F(n, k-1) + n/(n+1) * F(n, k).
+    """
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     row = [Fraction(1)]
-    yield row
+    rows = [row]
     for n in range(max_n):
         prev, row = row, [Fraction(0)]
         for k in range(1, n + 2):
@@ -75,16 +100,8 @@ def f_rows(max_n: int) -> Iterator[list[Fraction]]:
             if k <= n:
                 entry += Fraction(n, n + 1) * prev[k]
             row.append(entry)
-        yield row
-
-
-def f_table(max_n: int) -> RationalTriangle:
-    """The F triangle up to row max_n by its two-term recurrence.
-
-    F(0, 0) = 1 and F(n, 0) = 0 for n >= 1; each later entry is
-    F(n+1, k) = k/(n+1) * F(n, k-1) + n/(n+1) * F(n, k).
-    """
-    return RationalTriangle(f_rows(max_n))
+        rows.append(row)
+    return RationalTriangle(rows)
 
 
 def f_direct(n: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:

@@ -27,7 +27,8 @@ class _Triangle:
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")
             for k, entry in enumerate(row):
-                if not isinstance(entry, types) or (positive and entry < 1):
+                # bool subclasses int, but True is no table entry.
+                if not isinstance(entry, types) or isinstance(entry, bool) or (positive and entry < 1):
                     wanted = " or ".join(t.__name__ for t in types) + " > 0" * positive
                     raise ValueError(f"entry ({n}, {k}) must be of type {wanted}, got {entry!r}")
         self.rows = frozen

@@ -28,6 +28,7 @@ from .stirling import (
     f_from_partial_sums,
     f_from_stirling,
     f_from_subsets,
+    f_recurrence,
     f_table,
     stirling_first,
 )
@@ -370,7 +371,7 @@ def cross_check_f(max_n: int, tables: Tables | None = None) -> CheckReport:
     tables = tables or Tables()
     cap = tables.cap("direct composition sum", max_n, DEFAULT_ENUM_CAP)
     name, tested = "proposition1", f"0 <= k <= n <= {max_n}"
-    f, s = tables.f(max_n), tables.stirling(max_n)
+    f, s, recurrence = tables.f(max_n), tables.stirling(max_n), f_recurrence(max_n)
     for n in range(max_n + 1):
         mono = basis(n).to_monomial()
         for k in range(n + 1):
@@ -388,6 +389,7 @@ def cross_check_f(max_n: int, tables: Tables | None = None) -> CheckReport:
                 routes.append(("subsets", f_from_subsets(n, k, cap=cap)))
             if k >= 1:
                 routes.append(("partial sums", f_from_partial_sums(n, k, f)))
+            routes.append(("recurrence", recurrence[n, k]))
             for label, value in routes:
                 if value != base:
                     return _fail(

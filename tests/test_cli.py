@@ -16,6 +16,7 @@ import ivpoly.cli as cli
 from ivpoly import (
     c_table,
     d_table,
+    f_recurrence,
     f_table,
     lambda_product,
     lcm_list,
@@ -51,11 +52,13 @@ def _expected_table(kind, rows, max_n, fmt):
     return "\n".join(lines) + "\n"
 
 
+# F, d and c come from the F recurrence, so the CLI's Stirling-quotient rows
+# are compared with an independent route rather than with themselves.
 TRIANGLES = {
-    "c": lambda max_n: c_table(d_table(f_table(max_n))),
+    "c": lambda max_n: c_table(d_table(f_recurrence(max_n))),
     "q": q_table,
-    "d": lambda max_n: d_table(f_table(max_n)),
-    "F": f_table,
+    "d": lambda max_n: d_table(f_recurrence(max_n)),
+    "F": f_recurrence,
     "stirling": stirling_first,
 }
 
@@ -72,7 +75,7 @@ def test_table_q_csv_matches_golden(capsys):
     assert out == _expected_table("q", GOLDEN_Q, 10, "csv")
 
 
-@pytest.mark.parametrize("max_n", [0, 1, 10, 60])
+@pytest.mark.parametrize("max_n", [0, 1, 10, 60, 150])
 @pytest.mark.parametrize("fmt", cli.FORMATS)
 @pytest.mark.parametrize("kind", cli.TABLE_KINDS)
 def test_table_matches_the_reference_renderer(kind, fmt, max_n, capsys):

@@ -3,15 +3,21 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivpoly import (
     EnumerationCapError,
     basis,
+    c_table,
     compositions,
+    d_table,
     f_direct,
     f_from_partial_sums,
     f_from_stirling,
     f_from_subsets,
+    f_recurrence,
+    f_table,
     vp_rat,
 )
 
@@ -72,6 +78,21 @@ class TestFTable:
         assert vp_rat(f20[4, 2], 2) == -2
         assert vp_rat(f20[3, 1], 3) == -1
         assert vp_rat(f20[15, 3], 5) == -3
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=200))
+def test_f_table_matches_the_recurrence(max_n):
+    table, recurrence = f_table(max_n), f_recurrence(max_n)
+    assert table == recurrence
+    assert d_table(table) == d_table(recurrence)
+    assert c_table(d_table(table)) == c_table(d_table(recurrence))
+
+
+@pytest.mark.parametrize("build", [f_table, f_recurrence])
+def test_f_routes_reject_a_negative_size(build):
+    with pytest.raises(ValueError):
+        build(-1)
 
 
 def test_f_direct():

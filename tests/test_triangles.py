@@ -30,6 +30,9 @@ def test_rejects_a_row_of_the_wrong_length(kind):
         (StirlingTable, Fraction(1, 2)),
         (RationalTriangle, "1/2"),
         (RationalTriangle, 0.5),
+        (IntegerTriangle, True),
+        (StirlingTable, False),
+        (RationalTriangle, True),
     ],
 )
 def test_rejects_an_entry_of_the_wrong_kind(kind, entry):

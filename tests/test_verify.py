@@ -203,6 +203,14 @@ class TestChecksCanFail:
         assert "n=4, k=2" in report.counterexample.params
 
 
+def test_proposition1_names_a_recurrence_mismatch(monkeypatch, small_tables):
+    f, _, _ = small_tables
+    monkeypatch.setattr(verify, "f_recurrence", lambda max_n: _with_entry(f, 5, 3, Fraction(1, 2)))
+    report = verify.cross_check_f(8, tables=Tables(f=f))
+    assert not report.passed
+    assert str(report.counterexample) == "n=5, k=3, route=recurrence: 1/2 vs table=7/4"
+
+
 def test_proposition2_names_a_recurrence_mismatch(monkeypatch, small_tables):
     _, _, q = small_tables
     monkeypatch.setattr(verify, "q_recurrence", lambda max_n: _with_entry(q, 5, 3, 7))
