@@ -4,9 +4,10 @@ Every check recomputes its claim through an independent route (enumeration,
 interpolation, or the monomial power rule) and reports the first
 counterexample on failure, so a run doubles as a certificate at the
 configured ranges. Ranges live in VerifyConfig, one ``<check>_<param>``
-field per keyword of the check function; the tables the checks share live in
-one Tables context. Nothing here is randomized, hence two runs with the same
-config produce identical reports.
+field per keyword of the check function. Each check builds the tables it
+reads, and every check takes ``enum_cap``, which the capped ones pass to
+_cap before any other work. Nothing here is randomized, hence two runs with
+the same config produce identical reports.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .binomial_poly import MonomialPoly, basis, falling_factorials, from_values
 from .constants import DEFAULT_Q_ENUM_CAP, c_table, lambda_product, q_direct, q_recurrence, q_table
 from .exact_arith import EnumerationCapError, lcm_list, lcm_range, vp_int, vp_rat
 from .stirling import (
     DEFAULT_ENUM_CAP,
-    compositions,
     d_table,
     f_direct,
     f_from_partial_sums,
@@ -32,13 +33,12 @@ from .stirling import (
     f_table,
     stirling_first,
 )
-from .triangles import IntegerTriangle, RationalTriangle, StirlingTable
 
 # The oracle differentiates every basis polynomial up to degree n in the
 # monomial basis; cost grows quickly enough to warrant a cap.
 DEFAULT_ORACLE_CAP = 14
-# The theorem3 witness loop interpolates one product per composition with
-# sum <= n; its cost grows about 4.7x per +2.
+# The theorem3 witness loop interpolates one product per multiset of parts
+# with sum <= n (507 at n = 14); its cost grows about 3x per +2.
 DEFAULT_WITNESS_CAP = 14
 # The primes the lemma2 and lemma3 checks run over; their reports name them.
 LEMMA2_PRIMES = (2, 3, 5, 7)
@@ -76,8 +76,8 @@ class VerifyConfig:
     Each field ``<check>_<param>`` is the keyword ``param`` of that check, a
     range. ``enum_cap``, when set, replaces the cap of every brute-force route
     (the multiplier oracle, the theorem3 witnesses, and the F and q
-    enumerations) in the Tables context the checks share; it is the library
-    form of the CLI's IVPOLY_ENUM_CAP.
+    enumerations) in every check; it is the library form of the CLI's
+    IVPOLY_ENUM_CAP.
     """
 
     theorem1_max_n: int = 12
@@ -119,58 +119,17 @@ def _check_params(name: str) -> list[str]:
     return _CHECK_PARAMS[name]
 
 
-class Tables:
-    """The F, Stirling, c and q tables the checks share.
+def _cap(what: str, max_n: int, default: int, enum_cap: int | None) -> int:
+    """The enumeration cap of a route, enum_cap when set, else its default.
 
-    A table is built the first time a check asks for it and rebuilt only when
-    a later check needs more rows; c is folded from the F table at hand, so
-    it has as many rows. Tables passed in are used as they are while they
-    cover the rows asked for (fault injection in the tests). One cap,
-    enum_cap, replaces every route's default cap when set; each capped check
-    asks cap() for it before any other work.
+    Enumerating every n up to max_n would meet the cap first at n = cap + 1,
+    so when max_n is over the cap this raises that error before any
+    enumeration runs. Each capped check calls this before any other work.
     """
-
-    def __init__(
-        self,
-        enum_cap: int | None = None,
-        *,
-        f: RationalTriangle | None = None,
-        s: StirlingTable | None = None,
-        c: IntegerTriangle | None = None,
-        q: IntegerTriangle | None = None,
-    ):
-        self.enum_cap = enum_cap
-        self._tables = {"f": f, "s": s, "c": c, "q": q}
-
-    def _grow(self, kind: str, max_n: int, build):
-        table = self._tables[kind]
-        if table is None or table.max_n < max_n:
-            table = self._tables[kind] = build(max_n)
-        return table
-
-    def f(self, max_n: int) -> RationalTriangle:
-        return self._grow("f", max_n, f_table)
-
-    def stirling(self, max_n: int) -> StirlingTable:
-        return self._grow("s", max_n, stirling_first)
-
-    def c(self, max_n: int) -> IntegerTriangle:
-        return self._grow("c", max_n, lambda n: c_table(d_table(self.f(n))))
-
-    def q(self, max_n: int) -> IntegerTriangle:
-        return self._grow("q", max_n, q_table)
-
-    def cap(self, what: str, max_n: int, default: int) -> int:
-        """The enumeration cap of a route, enum_cap when set, else its default.
-
-        Enumerating every n up to max_n would meet the cap first at
-        n = cap + 1, so when max_n is over the cap this raises that error
-        before any enumeration runs.
-        """
-        cap = default if self.enum_cap is None else self.enum_cap
-        if max_n > cap:
-            raise EnumerationCapError(what, cap + 1, cap)
-        return cap
+    cap = default if enum_cap is None else enum_cap
+    if max_n > cap:
+        raise EnumerationCapError(what, cap + 1, cap)
+    return cap
 
 
 def _fail(name: str, tested: str, params: str, lhs, rhs) -> CheckReport:
@@ -205,10 +164,9 @@ def minimal_multiplier_oracle(n: int, k: int, cap: int = DEFAULT_ORACLE_CAP) -> 
     return out
 
 
-def check_theorem1(max_n: int, tables: Tables | None = None) -> CheckReport:
+def check_theorem1(max_n: int, enum_cap: int | None = None) -> CheckReport:
     """Oracle for the first derivative equals lcm(1..n)."""
-    tables = tables or Tables()
-    cap = tables.cap("minimal multiplier oracle", max_n, DEFAULT_ORACLE_CAP)
+    cap = _cap("minimal multiplier oracle", max_n, DEFAULT_ORACLE_CAP, enum_cap)
     name, tested = "theorem1", f"1 <= n <= {max_n}"
     for n in range(1, max_n + 1):
         lhs = minimal_multiplier_oracle(n, 1, cap)
@@ -219,15 +177,14 @@ def check_theorem1(max_n: int, tables: Tables | None = None) -> CheckReport:
 
 
 def check_theorem2(
-    oracle_max_n: int, divisibility_max_n: int, tables: Tables | None = None
+    oracle_max_n: int, divisibility_max_n: int, enum_cap: int | None = None
 ) -> CheckReport:
     """c-table equals the oracle, and c(n, k) divides q(n, k)."""
-    tables = tables or Tables()
-    cap = tables.cap("minimal multiplier oracle", oracle_max_n, DEFAULT_ORACLE_CAP)
+    cap = _cap("minimal multiplier oracle", oracle_max_n, DEFAULT_ORACLE_CAP, enum_cap)
     name = "theorem2"
     tested = f"oracle equality for n <= {oracle_max_n}; divisibility for n <= {divisibility_max_n}"
     hi = max(oracle_max_n, divisibility_max_n)
-    c, q = tables.c(hi), tables.q(hi)
+    c, q = c_table(d_table(f_table(hi))), q_table(hi)
     for n in range(oracle_max_n + 1):
         for k in range(n + 1):
             want = minimal_multiplier_oracle(n, k, cap)
@@ -243,7 +200,7 @@ def check_theorem2(
 
 
 def check_theorem3(
-    divisibility_max_n: int, witness_max_n: int, tables: Tables | None = None
+    divisibility_max_n: int, witness_max_n: int, enum_cap: int | None = None
 ) -> CheckReport:
     """q(n, k) divides k! * c(n, k); witness products certify the bound.
 
@@ -251,17 +208,18 @@ def check_theorem3(
     polynomials C(X, i_1) * ... * C(X, i_k) is rebuilt by evaluation at
     0..m and forward-difference interpolation; its k-th derivative at 0 must
     equal (-1)**(m-k) * k! / (i_1 * ... * i_k), whose denominator must
-    divide k! * c(m, k). The witness range obeys the enumeration cap.
+    divide k! * c(m, k). Reordering the parts changes neither the product
+    nor the expected value, so one sorted composition per multiset of parts
+    is interpolated. The witness range obeys the enumeration cap.
     """
-    tables = tables or Tables()
-    tables.cap("theorem3 witness compositions", witness_max_n, DEFAULT_WITNESS_CAP)
+    _cap("theorem3 witness compositions", witness_max_n, DEFAULT_WITNESS_CAP, enum_cap)
     name = "theorem3"
     tested = (
         f"divisibility for n <= {divisibility_max_n}; "
         f"witness compositions with sum <= {witness_max_n}"
     )
     hi = max(divisibility_max_n, witness_max_n)
-    c, q, f = tables.c(hi), tables.q(hi), tables.f(witness_max_n)
+    c, q, f = c_table(d_table(f_table(hi))), q_table(hi), f_table(witness_max_n)
     for n in range(divisibility_max_n + 1):
         for k in range(n + 1):
             if (math.factorial(k) * c[n, k]) % q[n, k] != 0:
@@ -270,34 +228,40 @@ def check_theorem3(
                     f"q={q[n, k]} not a divisor",
                 )
     for k in range(1, witness_max_n + 1):
-        for m in range(k, witness_max_n + 1):
-            for parts in compositions(m, k):
-                values = [math.prod(math.comb(x, i) for i in parts) for x in range(m + 1)]
-                witness = from_values(values).derivative(k, f).eval_int(0)
-                want = Fraction((-1) ** (m - k) * math.factorial(k), math.prod(parts))
-                if witness != want:
-                    return _fail(
-                        name, tested, f"parts={parts}", f"derivative(0)={witness}", f"expected={want}"
-                    )
-                if (math.factorial(k) * c[m, k]) % witness.denominator != 0:
-                    return _fail(
-                        name, tested, f"parts={parts}",
-                        f"den={witness.denominator}",
-                        f"k!*c={math.factorial(k) * c[m, k]} not a multiple",
-                    )
+        for parts in _witness_parts(witness_max_n, k):
+            m = sum(parts)
+            values = [math.prod(math.comb(x, i) for i in parts) for x in range(m + 1)]
+            witness = from_values(values).derivative(k, f).eval_int(0)
+            want = Fraction((-1) ** (m - k) * math.factorial(k), math.prod(parts))
+            if witness != want:
+                return _fail(
+                    name, tested, f"parts={parts}", f"derivative(0)={witness}", f"expected={want}"
+                )
+            if (math.factorial(k) * c[m, k]) % witness.denominator != 0:
+                return _fail(
+                    name, tested, f"parts={parts}",
+                    f"den={witness.denominator}",
+                    f"k!*c={math.factorial(k) * c[m, k]} not a multiple",
+                )
     return CheckReport(name, tested, True)
 
 
+def _witness_parts(max_n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Each multiset of k positive parts with sum <= max_n, parts ascending."""
+    for parts in itertools.combinations_with_replacement(range(1, max_n - k + 2), k):
+        if sum(parts) <= max_n:
+            yield parts
+
+
 def check_theorem4(
-    routes_max_n: int, oracle_max_n: int, tables: Tables | None = None
+    routes_max_n: int, oracle_max_n: int, enum_cap: int | None = None
 ) -> CheckReport:
     """The three lambda routes agree; the oracle lcm reproduces them."""
-    tables = tables or Tables()
-    cap = tables.cap("minimal multiplier oracle", oracle_max_n, DEFAULT_ORACLE_CAP)
+    cap = _cap("minimal multiplier oracle", oracle_max_n, DEFAULT_ORACLE_CAP, enum_cap)
     name = "theorem4"
     tested = f"three routes for n <= {routes_max_n}; oracle lcm for n <= {oracle_max_n}"
     hi = max(routes_max_n, oracle_max_n)
-    c, q = tables.c(hi), tables.q(hi)
+    c, q = c_table(d_table(f_table(hi))), q_table(hi)
     for n in range(routes_max_n + 1):
         via_c = lcm_list(c.row(n))
         via_q = lcm_list(q.row(n))
@@ -316,9 +280,9 @@ def check_theorem4(
     return CheckReport(name, tested, True)
 
 
-def check_lemma1(max_n: int, tables: Tables | None = None) -> CheckReport:
+def check_lemma1(max_n: int, enum_cap: int | None = None) -> CheckReport:
     """Mean of reciprocal absolute slopes of C(X, n) at 0..n-1 is 2**(n-1)."""
-    f = (tables or Tables()).f(max_n)
+    f = f_table(max_n)
     name, tested = "lemma1", f"1 <= n <= {max_n}"
     for n in range(1, max_n + 1):
         slope = basis(n).derivative(1, f)
@@ -333,7 +297,7 @@ def check_lemma1(max_n: int, tables: Tables | None = None) -> CheckReport:
     return CheckReport(name, tested, True)
 
 
-def check_corollary1(max_n: int, tables: Tables | None = None) -> CheckReport:
+def check_corollary1(max_n: int, enum_cap: int | None = None) -> CheckReport:
     """lcm(1..n) >= 2**(n-1)."""
     name, tested = "corollary1", f"1 <= n <= {max_n}"
     for n in range(1, max_n + 1):
@@ -342,7 +306,7 @@ def check_corollary1(max_n: int, tables: Tables | None = None) -> CheckReport:
     return CheckReport(name, tested, True)
 
 
-def check_lemma2(max_a: int, tables: Tables | None = None) -> CheckReport:
+def check_lemma2(max_a: int, enum_cap: int | None = None) -> CheckReport:
     """vp(a) <= a / p, exhaustively."""
     name, tested = "lemma2", f"1 <= a <= {max_a}, p in {LEMMA2_PRIMES}"
     for p in LEMMA2_PRIMES:
@@ -352,9 +316,9 @@ def check_lemma2(max_a: int, tables: Tables | None = None) -> CheckReport:
     return CheckReport(name, tested, True)
 
 
-def check_lemma3(max_n: int, tables: Tables | None = None) -> CheckReport:
+def check_lemma3(max_n: int, enum_cap: int | None = None) -> CheckReport:
     """The p-adic valuation of F(k*p, k) is exactly -k."""
-    f = (tables or Tables()).f(max_n)
+    f = f_table(max_n)
     name, tested = "lemma3", f"k*p <= {max_n}, p in {LEMMA3_PRIMES}"
     for p in LEMMA3_PRIMES:
         k = 1
@@ -366,12 +330,11 @@ def check_lemma3(max_n: int, tables: Tables | None = None) -> CheckReport:
     return CheckReport(name, tested, True)
 
 
-def cross_check_f(max_n: int, tables: Tables | None = None) -> CheckReport:
+def cross_check_f(max_n: int, enum_cap: int | None = None) -> CheckReport:
     """All F routes agree entrywise, including both derivative-at-0 routes."""
-    tables = tables or Tables()
-    cap = tables.cap("direct composition sum", max_n, DEFAULT_ENUM_CAP)
+    cap = _cap("direct composition sum", max_n, DEFAULT_ENUM_CAP, enum_cap)
     name, tested = "proposition1", f"0 <= k <= n <= {max_n}"
-    f, s, recurrence = tables.f(max_n), tables.stirling(max_n), f_recurrence(max_n)
+    f, s, recurrence = f_table(max_n), stirling_first(max_n), f_recurrence(max_n)
     for n in range(max_n + 1):
         mono = basis(n).to_monomial()
         for k in range(n + 1):
@@ -398,12 +361,11 @@ def cross_check_f(max_n: int, tables: Tables | None = None) -> CheckReport:
     return CheckReport(name, tested, True)
 
 
-def check_proposition2(max_n: int, tables: Tables | None = None) -> CheckReport:
+def check_proposition2(max_n: int, enum_cap: int | None = None) -> CheckReport:
     """The q recurrence matches brute-force enumeration."""
-    tables = tables or Tables()
-    cap = tables.cap("composition product lcm", max_n, DEFAULT_Q_ENUM_CAP)
+    cap = _cap("composition product lcm", max_n, DEFAULT_Q_ENUM_CAP, enum_cap)
     name, tested = "proposition2", f"0 <= k <= n <= {max_n}"
-    q, recurrence = tables.q(max_n), q_recurrence(max_n)
+    q, recurrence = q_table(max_n), q_recurrence(max_n)
     for n in range(max_n + 1):
         for k in range(n + 1):
             want = q_direct(n, k, cap=cap)
@@ -417,20 +379,14 @@ def check_proposition2(max_n: int, tables: Tables | None = None) -> CheckReport:
     return CheckReport(name, tested, True)
 
 
-def _run(name: str, config: VerifyConfig, tables: Tables) -> CheckReport:
+def run_check(name: str, config: VerifyConfig = VerifyConfig()) -> CheckReport:
+    """Run one named check with the configured ranges and cap."""
     params = {p: getattr(config, f"{name}_{p}") for p in _check_params(name)}
     # Looked up by name at call time, so a wrapped module attribute is seen.
     check = globals()["cross_check_f" if name == "proposition1" else f"check_{name}"]
-    return check(**params, tables=tables)
-
-
-def run_check(name: str, config: VerifyConfig = VerifyConfig()) -> CheckReport:
-    """Run one named check with the configured ranges."""
-    return _run(name, config, Tables(config.enum_cap))
+    return check(**params, enum_cap=config.enum_cap)
 
 
 def run_all(config: VerifyConfig = VerifyConfig()) -> list[CheckReport]:
-    """Every check at its configured range, sorted by check name, all
-    sharing one Tables context."""
-    tables = Tables(config.enum_cap)
-    return [_run(name, config, tables) for name in CHECK_NAMES]
+    """Every check at its configured range, sorted by check name."""
+    return [run_check(name, config) for name in CHECK_NAMES]

@@ -13,6 +13,7 @@ from ivpoly import (
     VerifyConfig,
     basis,
     c_table,
+    compositions,
     d_table,
     f_table,
     minimal_multiplier_oracle,
@@ -20,7 +21,7 @@ from ivpoly import (
     run_all,
     run_check,
 )
-from ivpoly.verify import CHECK_NAMES, CheckReport, Tables
+from ivpoly.verify import CHECK_NAMES, CheckReport
 
 # The exact stdout of `ivpoly verify all` at the default config.
 GOLDEN_VERIFY_ALL = """\
@@ -149,27 +150,40 @@ class TestChecksCanFail:
         assert not report.passed
         assert "n=2" in report.counterexample.params
 
-    def test_theorem2(self, small_tables):
-        _, c, q = small_tables
-        report = verify.check_theorem2(6, 6, tables=Tables(c=_with_entry(c, 4, 2, 7), q=q))
+    def test_theorem2(self, monkeypatch, small_tables):
+        _, c, _ = small_tables
+        monkeypatch.setattr(verify, "c_table", lambda d: _with_entry(c, 4, 2, 7))
+        report = verify.check_theorem2(6, 6)
         assert not report.passed
         assert "n=4, k=2" in report.counterexample.params
 
-    def test_theorem3(self, small_tables):
-        f, c, q = small_tables
-        report = verify.check_theorem3(6, 6, tables=Tables(c=c, q=_with_entry(q, 2, 1, 5), f=f))
+    def test_theorem3(self, monkeypatch, small_tables):
+        _, _, q = small_tables
+        monkeypatch.setattr(verify, "q_table", lambda max_n: _with_entry(q, 2, 1, 5))
+        report = verify.check_theorem3(6, 6)
         assert not report.passed
         assert report.counterexample is not None
 
-    def test_theorem4(self, small_tables):
-        _, c, q = small_tables
-        report = verify.check_theorem4(6, 6, tables=Tables(c=_with_entry(c, 4, 2, 7), q=q))
+    def test_theorem3_witness(self, monkeypatch, small_tables):
+        f, _, _ = small_tables
+        monkeypatch.setattr(verify, "f_table", lambda max_n: _with_entry(f, 4, 2, Fraction(11, 13)))
+        # The broken F also breaks c, so the divisibility half is left out.
+        report = verify.check_theorem3(0, 6)
+        assert not report.passed
+        assert report.counterexample.params.startswith("parts=")
+        assert report.counterexample.rhs.startswith("expected=")
+
+    def test_theorem4(self, monkeypatch, small_tables):
+        _, c, _ = small_tables
+        monkeypatch.setattr(verify, "c_table", lambda d: _with_entry(c, 4, 2, 7))
+        report = verify.check_theorem4(6, 6)
         assert not report.passed
         assert "n=4" in report.counterexample.params
 
-    def test_lemma1(self, small_tables):
+    def test_lemma1(self, monkeypatch, small_tables):
         f, _, _ = small_tables
-        report = verify.check_lemma1(4, tables=Tables(f=_with_entry(f, 3, 1, Fraction(2, 3))))
+        monkeypatch.setattr(verify, "f_table", lambda max_n: _with_entry(f, 3, 1, Fraction(2, 3)))
+        report = verify.check_lemma1(4)
         assert not report.passed
         assert "n=3" in report.counterexample.params
 
@@ -179,9 +193,10 @@ class TestChecksCanFail:
         assert not report.passed
         assert report.counterexample.params == "a=1, p=2"
 
-    def test_lemma3(self, small_tables):
+    def test_lemma3(self, monkeypatch, small_tables):
         f, _, _ = small_tables
-        report = verify.check_lemma3(8, tables=Tables(f=_with_entry(f, 4, 2, Fraction(11, 13))))
+        monkeypatch.setattr(verify, "f_table", lambda max_n: _with_entry(f, 4, 2, Fraction(11, 13)))
+        report = verify.check_lemma3(8)
         assert not report.passed
         assert "k=2, p=2" in report.counterexample.params
 
@@ -190,15 +205,17 @@ class TestChecksCanFail:
         report = verify.check_corollary1(8)
         assert not report.passed
 
-    def test_proposition1(self, small_tables):
+    def test_proposition1(self, monkeypatch, small_tables):
         f, _, _ = small_tables
-        report = verify.cross_check_f(8, tables=Tables(f=_with_entry(f, 4, 2, Fraction(11, 13))))
+        monkeypatch.setattr(verify, "f_table", lambda max_n: _with_entry(f, 4, 2, Fraction(11, 13)))
+        report = verify.cross_check_f(8)
         assert not report.passed
         assert "n=4, k=2" in report.counterexample.params
 
-    def test_proposition2(self, small_tables):
+    def test_proposition2(self, monkeypatch, small_tables):
         _, _, q = small_tables
-        report = verify.check_proposition2(8, tables=Tables(q=_with_entry(q, 4, 2, 7)))
+        monkeypatch.setattr(verify, "q_table", lambda max_n: _with_entry(q, 4, 2, 7))
+        report = verify.check_proposition2(8)
         assert not report.passed
         assert "n=4, k=2" in report.counterexample.params
 
@@ -206,7 +223,7 @@ class TestChecksCanFail:
 def test_proposition1_names_a_recurrence_mismatch(monkeypatch, small_tables):
     f, _, _ = small_tables
     monkeypatch.setattr(verify, "f_recurrence", lambda max_n: _with_entry(f, 5, 3, Fraction(1, 2)))
-    report = verify.cross_check_f(8, tables=Tables(f=f))
+    report = verify.cross_check_f(8)
     assert not report.passed
     assert str(report.counterexample) == "n=5, k=3, route=recurrence: 1/2 vs table=7/4"
 
@@ -214,7 +231,7 @@ def test_proposition1_names_a_recurrence_mismatch(monkeypatch, small_tables):
 def test_proposition2_names_a_recurrence_mismatch(monkeypatch, small_tables):
     _, _, q = small_tables
     monkeypatch.setattr(verify, "q_recurrence", lambda max_n: _with_entry(q, 5, 3, 7))
-    report = verify.check_proposition2(8, tables=Tables(q=q))
+    report = verify.check_proposition2(8)
     assert not report.passed
     assert str(report.counterexample) == "n=5, k=3: table=12 vs recurrence=7"
 
@@ -224,23 +241,12 @@ def test_reports_are_deterministic():
 
 
 def test_shared_tables_change_no_report():
-    # run_check builds a fresh Tables context for every check.
     assert run_all(SMALL_CONFIG) == [run_check(name, SMALL_CONFIG) for name in CHECK_NAMES]
 
 
 def test_verify_all_output_is_unchanged(capsys):
     assert cli.main(["verify", "all"]) == 0
     assert capsys.readouterr().out == GOLDEN_VERIFY_ALL
-
-
-def test_tables_grow_only_when_more_rows_are_needed():
-    tables = Tables()
-    small = tables.f(4)
-    assert tables.f(3) is small
-    assert tables.f(6).max_n == 6
-    # c is folded from the cached f, so it comes with all of f's rows.
-    assert tables.c(2).max_n == 6
-    assert tables.c(5) is tables.c(2)
 
 
 def test_one_enum_cap_also_caps_the_oracle():
@@ -254,8 +260,20 @@ def test_theorem3_witness_cap():
     with pytest.raises(EnumerationCapError):
         verify.check_theorem3(4, 15)
     with pytest.raises(EnumerationCapError):
-        verify.check_theorem3(4, 5, tables=Tables(enum_cap=4))
-    assert verify.check_theorem3(4, 5, tables=Tables(enum_cap=5)).passed
+        verify.check_theorem3(4, 5, enum_cap=4)
+    assert verify.check_theorem3(4, 5, enum_cap=5).passed
+
+
+def test_theorem3_witnesses_cover_every_sorted_composition():
+    # One multiset of parts stands for all its orderings: same product, same
+    # expected derivative, same c(m, k).
+    for k in range(1, 15):
+        multisets = list(verify._witness_parts(14, k))
+        sorted_compositions = {
+            tuple(sorted(parts)) for m in range(k, 15) for parts in compositions(m, k)
+        }
+        assert len(multisets) == len(set(multisets))
+        assert set(multisets) == sorted_compositions, k
 
 
 @pytest.mark.parametrize(
@@ -277,12 +295,15 @@ def test_theorem3_witness_cap():
 )
 def test_capped_checks_raise_before_enumerating(check, route, enum_cap, first_over, monkeypatch):
     # The error names the first n over the cap, not the requested range, and
-    # comes before the route runs even once.
-    monkeypatch.setattr(verify, route, lambda *args, **kwargs: pytest.fail("enumerated"))
+    # comes before the route runs even once or any table is built.
+    work = (route, "f_table", "d_table", "c_table", "q_table", "stirling_first",
+            "f_recurrence", "q_recurrence")
+    for name in work:
+        monkeypatch.setattr(verify, name, lambda *args, **kwargs: pytest.fail("worked"))
     check = getattr(verify, check)
     ranges = [30] * (len(inspect.signature(check).parameters) - 1)
     with pytest.raises(EnumerationCapError) as excinfo:
-        check(*ranges, tables=Tables(enum_cap=enum_cap))
+        check(*ranges, enum_cap=enum_cap)
     assert (excinfo.value.requested, excinfo.value.cap) == (first_over, first_over - 1)
 
 
