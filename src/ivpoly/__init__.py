@@ -25,7 +25,6 @@ from .stirling import (
     d_table,
     f_direct,
     f_from_partial_sums,
-    f_from_stirling,
     f_from_subsets,
     f_recurrence,
     f_table,
@@ -62,7 +61,6 @@ __all__ = [
     "d_table",
     "f_direct",
     "f_from_partial_sums",
-    "f_from_stirling",
     "f_from_subsets",
     "f_recurrence",
     "f_table",

@@ -81,7 +81,7 @@ class BinomialPoly(_Poly):
         return BinomialPoly(self.coeffs[i:])
 
     def derivative(self, k: int, table: RationalTriangle) -> "BinomialPoly":
-        """Exact k-th derivative via the forward-difference expansion.
+        """Exact k-th derivative as a series in the forward differences of P.
 
         The derivative of P of degree d is the alternating combination of the
         differences of P: sum over k <= m <= d of (-1)**(m-k) * table[m, k]

@@ -3,12 +3,11 @@
 F(n, k) is the sum of 1/(i_1 * ... * i_k) over all ordered ways of writing n
 as k positive parts; equivalently k!/n! times |s(n, k)|. The production route
 is that Stirling quotient, read row by row from the integer Stirling rows with
-one reduction per entry; five further routes (direct enumeration, the
-per-entry Stirling quotient, a subset sum, a partial-sum recurrence, and the
-two-term recurrence F(n+1, k) = k/(n+1) * F(n, k-1) + n/(n+1) * F(n, k))
-recompute the entries so that each can serve as an oracle for the others.
-The denominators of F form the d-table that the headline constants are
-folded from.
+one reduction per entry; four further routes (direct enumeration, a subset
+sum, a partial-sum recurrence, and the two-term recurrence
+F(n+1, k) = k/(n+1) * F(n, k-1) + n/(n+1) * F(n, k)) recompute the entries
+so that each can serve as an oracle for the others. The denominators of F
+form the d-table that the headline constants are folded from.
 """
 
 from __future__ import annotations
@@ -114,15 +113,6 @@ def f_direct(n: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     for parts in compositions(n, k):
         total += Fraction(1, math.prod(parts))
     return total
-
-
-def f_from_stirling(n: int, k: int, table: StirlingTable) -> Fraction:
-    """F(n, k) as k!/n! times the absolute Stirling number."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    if n > table.max_n:
-        raise ValueError(f"Stirling table covers rows up to {table.max_n}, need {n}")
-    return Fraction(math.factorial(k), math.factorial(n)) * abs(table[n, k])
 
 
 def f_from_subsets(n: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:

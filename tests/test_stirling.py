@@ -14,7 +14,6 @@ from ivpoly import (
     d_table,
     f_direct,
     f_from_partial_sums,
-    f_from_stirling,
     f_from_subsets,
     f_recurrence,
     f_table,
@@ -110,14 +109,6 @@ def test_f_direct_cap():
     assert f_direct(23, 1, cap=23) == Fraction(1, 23)
 
 
-def test_f_from_stirling(s14):
-    assert f_from_stirling(4, 2, s14) == Fraction(11, 12)
-    assert f_from_stirling(5, 1, s14) == Fraction(24, 120)
-    assert all(f_from_stirling(n, n, s14) == 1 for n in range(15))
-    with pytest.raises(ValueError):
-        f_from_stirling(15, 1, s14)
-
-
 def test_f_from_subsets():
     assert f_from_subsets(4, 2) == Fraction(11, 12)  # (2/4)(1 + 1/2 + 1/3)
     assert f_from_subsets(2, 2) == 1
@@ -138,12 +129,11 @@ def test_f_from_partial_sums(f20):
         f_from_partial_sums(25, 2, f20)
 
 
-def test_all_routes_agree(f20, s14):
+def test_all_routes_agree(f20):
     for n in range(11):
         for k in range(n + 1):
             expected = f20[n, k]
             assert f_direct(n, k) == expected
-            assert f_from_stirling(n, k, s14) == expected
             if k >= 2:
                 assert f_from_subsets(n, k) == expected
             if k >= 1:

@@ -7,6 +7,7 @@ import pytest
 import ivpoly.cli as cli
 import ivpoly.verify as verify
 from ivpoly import (
+    BinomialPoly,
     EnumerationCapError,
     IntegerTriangle,
     RationalTriangle,
@@ -220,12 +221,29 @@ class TestChecksCanFail:
         assert "n=4, k=2" in report.counterexample.params
 
 
-def test_proposition1_names_a_recurrence_mismatch(monkeypatch, small_tables):
+@pytest.mark.parametrize(
+    "name, fault, counterexample",
+    [
+        ("f_direct", lambda f: lambda n, k, cap: 0, "n=0, k=0, route=direct: 0 vs table=1"),
+        ("basis", lambda f: lambda n: BinomialPoly([0] * n + [2]),
+         "n=0, k=0, route=power rule at 0: 2 vs table=1"),
+        ("f_from_subsets", lambda f: lambda n, k, cap: 0, "n=2, k=2, route=subsets: 0 vs table=1"),
+        ("f_from_partial_sums", lambda f: lambda n, k, table: 0,
+         "n=1, k=1, route=partial sums: 0 vs table=1"),
+        ("f_recurrence", lambda f: lambda max_n: _with_entry(f, 5, 3, Fraction(1, 2)),
+         "n=5, k=3, route=recurrence: 1/2 vs table=7/4"),
+    ],
+    ids=["direct", "power-rule", "subsets", "partial-sums", "recurrence"],
+)
+def test_proposition1_names_the_failing_route(
+    name, fault, counterexample, monkeypatch, small_tables
+):
+    # One row per route of the certificate, so a route dropped from it fails here.
     f, _, _ = small_tables
-    monkeypatch.setattr(verify, "f_recurrence", lambda max_n: _with_entry(f, 5, 3, Fraction(1, 2)))
+    monkeypatch.setattr(verify, name, fault(f))
     report = verify.cross_check_f(8)
     assert not report.passed
-    assert str(report.counterexample) == "n=5, k=3, route=recurrence: 1/2 vs table=7/4"
+    assert str(report.counterexample) == counterexample
 
 
 def test_proposition2_names_a_recurrence_mismatch(monkeypatch, small_tables):
@@ -238,10 +256,6 @@ def test_proposition2_names_a_recurrence_mismatch(monkeypatch, small_tables):
 
 def test_reports_are_deterministic():
     assert run_all(SMALL_CONFIG) == run_all(SMALL_CONFIG)
-
-
-def test_shared_tables_change_no_report():
-    assert run_all(SMALL_CONFIG) == [run_check(name, SMALL_CONFIG) for name in CHECK_NAMES]
 
 
 def test_verify_all_output_is_unchanged(capsys):
@@ -296,8 +310,7 @@ def test_theorem3_witnesses_cover_every_sorted_composition():
 def test_capped_checks_raise_before_enumerating(check, route, enum_cap, first_over, monkeypatch):
     # The error names the first n over the cap, not the requested range, and
     # comes before the route runs even once or any table is built.
-    work = (route, "f_table", "d_table", "c_table", "q_table", "stirling_first",
-            "f_recurrence", "q_recurrence")
+    work = (route, "f_table", "d_table", "c_table", "q_table", "f_recurrence", "q_recurrence")
     for name in work:
         monkeypatch.setattr(verify, name, lambda *args, **kwargs: pytest.fail("worked"))
     check = getattr(verify, check)
