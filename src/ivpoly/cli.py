@@ -1,8 +1,9 @@
 """Command-line front end: emit the tables and sequences, run the checks.
 
-Exit codes: 0 success, 1 verification failure or output closed early,
-2 usage error, 3 enumeration cap exceeded. Set IVPOLY_ENUM_CAP to raise or
-lower the brute-force caps, the theorem3 witness cap among them.
+Exit codes: 0 success, 1 verification failure, output closed early, or the
+output could not be written, 2 usage error, 3 enumeration cap exceeded. Set
+IVPOLY_ENUM_CAP to raise or lower the brute-force caps, the theorem3 witness
+cap among them.
 """
 
 from __future__ import annotations
@@ -189,10 +190,13 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationCapError as error:
         print(f"ivpoly: error: {error}", file=sys.stderr)
         return 3
-    except BrokenPipeError:
-        # The reader closed stdout early (say `ivpoly seq cn | head -1`).
-        # Point stdout at devnull so the flush at interpreter exit cannot
-        # raise again.
+    except OSError as error:
+        # The reader closed stdout early (say `ivpoly seq cn | head -1`),
+        # which stays silent, or the write failed otherwise (say a full
+        # disk). Point stdout at devnull so the flush at interpreter exit
+        # cannot raise again.
+        if not isinstance(error, BrokenPipeError):
+            print(f"ivpoly: error: cannot write the output: {error}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -18,11 +18,11 @@ import math
 from typing import Iterable, Iterator, Sequence
 
 from .exact_arith import EnumerationCapError, PrimeFactorization, lcm_list, primes_up_to
-from .stirling import compositions
+from .stirling import part_multisets
 from .triangles import IntegerTriangle
 
-# q_direct enumerates every composition of every total up to n; 2**(n-1)
-# tuples per total keeps this an oracle-only route.
+# q_direct walks every multiset of k parts with sum <= n, an oracle-only route;
+# the cap stays 18, as the exit-3 boundary and its error message are pinned.
 DEFAULT_Q_ENUM_CAP = 18
 
 
@@ -113,16 +113,16 @@ def q_recurrence(max_n: int) -> IntegerTriangle:
 
 
 def q_direct(n: int, k: int, cap: int = DEFAULT_Q_ENUM_CAP) -> int:
-    """q(n, k) by brute force: lcm of part products over all compositions
-    of every total m <= n into exactly k positive parts."""
+    """q(n, k) by brute force: lcm of part products over every multiset of
+    exactly k positive parts with sum <= n (a product does not depend on the
+    order of its parts, so each multiset stands for all its compositions)."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
     if n > cap:
         raise EnumerationCapError("composition product lcm", n, cap)
     out = 1
-    for m in range(n + 1):
-        for parts in compositions(m, k):
-            out = math.lcm(out, math.prod(parts))
+    for parts in part_multisets(n, k):
+        out = math.lcm(out, math.prod(parts))
     return out
 
 

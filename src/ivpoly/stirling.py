@@ -26,20 +26,25 @@ DEFAULT_ENUM_CAP = 22
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of ``parts`` positive integers summing to ``total``."""
-    if parts < 0 or total < 0:
+    """Ordered tuples of ``parts`` positive integers summing to ``total``, in
+    lexicographic order: one per choice of ``parts - 1`` cut points in
+    ``1..total - 1``, the parts being the gaps between 0, the cuts and total."""
+    if parts == total == 0:
+        yield ()
+    if parts < 1 or total < parts:
         return
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        # From a list, not a generator: tuple() would resize its guess, and
+        # CPython keeps up to 2000 freed tuples of each resized length.
+        yield tuple([b - a for a, b in itertools.pairwise((0, *cuts, total))])
+
+
+def part_multisets(max_total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Each multiset of ``parts`` positive integers with sum <= max_total,
+    as one tuple with the parts ascending."""
+    for multiset in itertools.combinations_with_replacement(range(1, max_total - parts + 2), parts):
+        if sum(multiset) <= max_total:
+            yield multiset
 
 
 def stirling_rows(max_n: int) -> Iterator[list[int]]:

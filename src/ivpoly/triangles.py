@@ -38,6 +38,8 @@ class _Triangle:
         return len(self.rows) - 1
 
     def row(self, n: int) -> tuple:
+        if not 0 <= n <= self.max_n:
+            raise IndexError(f"row {n} lies outside a triangle with max n = {self.max_n}")
         return self.rows[n]
 
     def __getitem__(self, nk: tuple[int, int]):

@@ -17,7 +17,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .binomial_poly import MonomialPoly, basis, falling_factorials, from_values
 from .constants import DEFAULT_Q_ENUM_CAP, c_table, lambda_product, q_direct, q_recurrence, q_table
@@ -30,6 +29,7 @@ from .stirling import (
     f_from_subsets,
     f_recurrence,
     f_table,
+    part_multisets,
 )
 
 # The oracle differentiates every basis polynomial up to degree n in the
@@ -227,7 +227,7 @@ def check_theorem3(
                     f"q={q[n, k]} not a divisor",
                 )
     for k in range(1, witness_max_n + 1):
-        for parts in _witness_parts(witness_max_n, k):
+        for parts in part_multisets(witness_max_n, k):
             m = sum(parts)
             values = [math.prod(math.comb(x, i) for i in parts) for x in range(m + 1)]
             witness = from_values(values).derivative(k, f).eval_int(0)
@@ -243,13 +243,6 @@ def check_theorem3(
                     f"k!*c={math.factorial(k) * c[m, k]} not a multiple",
                 )
     return CheckReport(name, tested, True)
-
-
-def _witness_parts(max_n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Each multiset of k positive parts with sum <= max_n, parts ascending."""
-    for parts in itertools.combinations_with_replacement(range(1, max_n - k + 2), k):
-        if sum(parts) <= max_n:
-            yield parts
 
 
 def check_theorem4(

@@ -1,4 +1,5 @@
-"""Frozen reference values for the published triangles and sequence."""
+"""Frozen reference values for the published triangles and sequence, and
+replaced code kept as a test oracle for its replacement."""
 
 # Triangle of the minimal k-th-derivative multipliers c(n, k), rows n = 0..10.
 GOLDEN_C = [
@@ -32,3 +33,21 @@ GOLDEN_Q = [
 
 # lambda(n) for n = 0..10.
 GOLDEN_LAMBDA = [1, 1, 2, 6, 12, 60, 360, 2520, 5040, 15120, 151200]
+
+
+def compositions_recursive(total, parts):
+    """The recursive composition walk that ``stirling.compositions`` replaced:
+    first part ascending, then every composition of the rest."""
+    if parts < 0 or total < 0:
+        return
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions_recursive(total - first, parts - 1):
+            yield (first,) + rest

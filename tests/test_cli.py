@@ -246,6 +246,22 @@ def test_closed_output_exits_one_quietly(args):
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "args", [["table", "c", "--max-n", "10"], ["seq", "cn"], ["verify", "lemma2"]]
+)
+def test_unwritable_output_exits_one_with_one_line(args):
+    # Every write to /dev/full fails with ENOSPC: one error line, no traceback.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ivpoly", *args], stdout=full, stderr=subprocess.PIPE
+        )
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    [line] = proc.stderr.decode().splitlines()
+    assert line.startswith("ivpoly: error: cannot write the output: ")
+
+
 def test_output_is_deterministic(capsys):
     _, first = run_cli(capsys, "table", "c", "--max-n", "10", "--format", "csv")
     _, second = run_cli(capsys, "table", "c", "--max-n", "10", "--format", "csv")

@@ -21,7 +21,7 @@ from ivpoly import (
     q_table,
     vp_int,
 )
-from golden import GOLDEN_C, GOLDEN_LAMBDA, GOLDEN_Q
+from golden import GOLDEN_C, GOLDEN_LAMBDA, GOLDEN_Q, compositions_recursive
 
 
 def test_c_table_matches_golden(c20):
@@ -83,6 +83,18 @@ def test_q_direct_cap():
     with pytest.raises(EnumerationCapError):
         q_direct(4, 2, cap=3)
     assert q_direct(4, 2, cap=4) == 12
+
+
+def test_q_direct_matches_the_composition_walk():
+    # The lcm over the ordered compositions of every total m <= n, as q_direct
+    # computed it before it walked multisets of parts.
+    for n in range(17):
+        assert q_direct(n, 0) == 1
+        for k in range(n + 1):
+            want = lcm_list(
+                math.prod(parts) for m in range(n + 1) for parts in compositions_recursive(m, k)
+            )
+            assert q_direct(n, k) == want, (n, k)
 
 
 def test_q_direct_matches_table(q20):

@@ -19,6 +19,8 @@ from ivpoly import (
     f_table,
     vp_rat,
 )
+from ivpoly.stirling import part_multisets
+from golden import compositions_recursive
 
 
 def _abs_stirling_by_subsets(n: int, k: int) -> int:
@@ -32,6 +34,22 @@ def test_compositions():
     assert list(compositions(3, 0)) == []
     assert list(compositions(2, 3)) == []
     assert len(list(compositions(10, 4))) == math.comb(9, 3)
+
+
+def test_compositions_match_the_recursive_walk():
+    # Same tuples in the same (lexicographic) order, edge cases included.
+    for total in range(-1, 17):
+        for parts in range(-1, 17):
+            assert list(compositions(total, parts)) == list(
+                compositions_recursive(total, parts)
+            ), (total, parts)
+
+
+def test_part_multisets():
+    assert list(part_multisets(4, 2)) == [(1, 1), (1, 2), (1, 3), (2, 2)]
+    for n in range(6):
+        assert list(part_multisets(n, 0)) == [()]
+    assert list(part_multisets(3, 4)) == []
 
 
 class TestStirlingFirst:

@@ -50,3 +50,12 @@ def test_rational_triangle_keeps_its_entries_as_given():
     table = RationalTriangle([[one], [half, 0]])
     assert table[0, 0] is one
     assert table[1, 0] is half
+
+
+@pytest.mark.parametrize("n", [-1, 5])
+def test_row_rejects_an_index_outside_the_triangle(n):
+    # A negative n must not wrap around to a row counted from the end.
+    table = IntegerTriangle([[1] * (m + 1) for m in range(5)])
+    with pytest.raises(IndexError, match="max n = 4"):
+        table.row(n)
+    assert table.row(4) == (1,) * 5

@@ -22,6 +22,7 @@ from ivpoly import (
     run_all,
     run_check,
 )
+from ivpoly.stirling import part_multisets
 from ivpoly.verify import CHECK_NAMES, CheckReport
 
 # The exact stdout of `ivpoly verify all` at the default config.
@@ -282,7 +283,7 @@ def test_theorem3_witnesses_cover_every_sorted_composition():
     # One multiset of parts stands for all its orderings: same product, same
     # expected derivative, same c(m, k).
     for k in range(1, 15):
-        multisets = list(verify._witness_parts(14, k))
+        multisets = list(part_multisets(14, k))
         sorted_compositions = {
             tuple(sorted(parts)) for m in range(k, 15) for parts in compositions(m, k)
         }
