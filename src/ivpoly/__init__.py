@@ -35,7 +35,6 @@ from .verify import (
     CHECK_NAMES,
     CheckReport,
     Counterexample,
-    VerifyConfig,
     minimal_multiplier_oracle,
     run_all,
     run_check,
@@ -54,7 +53,6 @@ __all__ = [
     "PrimeFactorization",
     "RationalTriangle",
     "StirlingTable",
-    "VerifyConfig",
     "basis",
     "c_table",
     "compositions",

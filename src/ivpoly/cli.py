@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 from .constants import c_rows, lambda_factorizations, q_rows
 from .exact_arith import EnumerationCapError, lcm_ratios, radicals
 from .stirling import d_rows, f_rows, stirling_rows
-from .verify import CHECK_NAMES, VerifyConfig, run_all, run_check
+from .verify import CHECK_NAMES, run_all, run_check
 
 # Each table kind's rows, made one at a time from the row above.
 ROW_SOURCES = {
@@ -137,31 +137,26 @@ def cmd_seq(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _config_from_env_and_args(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> VerifyConfig:
+def _enum_cap(parser: argparse.ArgumentParser) -> int | None:
+    """IVPOLY_ENUM_CAP as a positive int, or None when it is unset."""
     cap = os.environ.get("IVPOLY_ENUM_CAP")
-    config = VerifyConfig()
-    if cap is not None:
-        try:
-            cap_value = int(cap)
-        except ValueError:
-            cap_value = 0
-        if cap_value < 1:
-            parser.error(f"IVPOLY_ENUM_CAP must be a positive integer, got {cap!r}")
-        config = VerifyConfig(enum_cap=cap_value)
-    if args.max_n is not None:
-        scope = None if args.scope == "all" else args.scope
-        config = config.with_max_n(args.max_n, scope)
-    return config
+    if cap is None:
+        return None
+    try:
+        value = int(cap)
+    except ValueError:
+        value = 0
+    if value < 1:
+        parser.error(f"IVPOLY_ENUM_CAP must be a positive integer, got {cap!r}")
+    return value
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    config = _config_from_env_and_args(args, parser)
+    enum_cap = _enum_cap(parser)
     if args.scope == "all":
-        reports = run_all(config)
+        reports = run_all(args.max_n, enum_cap)
     else:
-        reports = [run_check(args.scope, config)]
+        reports = [run_check(args.scope, args.max_n, enum_cap)]
     failed = False
     for report in reports:
         status = "pass" if report.passed else "FAIL"

@@ -80,9 +80,14 @@ def vp_int(a: int, p: int) -> int:
     return e
 
 
-def vp_rat(r: Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero rational: vp(numerator) - vp(denominator)."""
-    r = Fraction(r)
+def vp_rat(r: int | Fraction, p: int) -> int:
+    """p-adic valuation of a nonzero rational: vp(numerator) - vp(denominator).
+
+    Only an int or a Fraction is exact; a float is rejected rather than read
+    as its binary expansion.
+    """
+    if not isinstance(r, (int, Fraction)) or isinstance(r, bool):
+        raise ValueError(f"valuation needs an int or a Fraction, got {r!r}")
     if r == 0:
         raise ValueError("the valuation of 0 is not representable")
     return vp_int(abs(r.numerator), p) - vp_int(r.denominator, p)
@@ -163,6 +168,10 @@ class PrimeFactorization:
     def __post_init__(self):
         previous = 1
         for p, e in self.factors:
+            # Exactly int: a float would pass the checks below, and True is no
+            # prime or exponent though bool subclasses int.
+            if type(p) is not int or type(e) is not int:
+                raise ValueError(f"primes and exponents must be ints, got {p!r}^{e!r}")
             if p <= previous:
                 raise ValueError(f"primes must be strictly increasing, got {p} after {previous}")
             if not _verified_prime(p):

@@ -3,16 +3,16 @@
 Every check recomputes its claim through an independent route (enumeration,
 interpolation, or the monomial power rule) and reports the first
 counterexample on failure, so a run doubles as a certificate at the
-configured ranges. Ranges live in VerifyConfig, one ``<check>_<param>``
-field per keyword of the check function. Each check builds the tables it
-reads, and every check takes ``enum_cap``, which the capped ones pass to
-_cap before any other work. Nothing here is randomized, hence two runs with
-the same config produce identical reports.
+ranges it was given. Each check declares its default ranges in its own
+signature, builds the tables it reads, and takes ``enum_cap``, which the
+capped ones pass to _cap before any other work. run_check sets every range
+of a check to one max_n. Nothing here is randomized, hence two runs with
+the same arguments produce identical reports.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -67,54 +67,10 @@ class CheckReport:
             raise ValueError("a failing report must carry a counterexample")
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    """Named ranges for every check; defaults keep the full suite fast.
-
-    Each field ``<check>_<param>`` is the keyword ``param`` of that check, a
-    range. ``enum_cap``, when set, replaces the cap of every brute-force route
-    (the multiplier oracle, the theorem3 witnesses, and the F and q
-    enumerations) in every check; it is the library form of the CLI's
-    IVPOLY_ENUM_CAP.
-    """
-
-    theorem1_max_n: int = 12
-    theorem2_oracle_max_n: int = 12
-    theorem2_divisibility_max_n: int = 20
-    theorem3_divisibility_max_n: int = 20
-    theorem3_witness_max_n: int = 10
-    theorem4_routes_max_n: int = 30
-    theorem4_oracle_max_n: int = 12
-    lemma1_max_n: int = 16
-    lemma2_max_a: int = 10_000
-    lemma3_max_n: int = 30
-    corollary1_max_n: int = 64
-    proposition1_max_n: int = 14
-    proposition2_max_n: int = 14
-    enum_cap: int | None = None
-
-    def with_max_n(self, n: int, check: str | None = None) -> "VerifyConfig":
-        """Rewrite the range fields of one check (or of all checks)."""
-        checks = CHECK_NAMES if check is None else (check,)
-        return dataclasses.replace(
-            self, **{f"{c}_{p}": n for c in checks for p in _check_params(c)}
-        )
-
-
-_CHECK_PARAMS: dict[str, list[str]] = {}
-for _field in dataclasses.fields(VerifyConfig):
-    if _field.name != "enum_cap":
-        _check, _param = _field.name.split("_", 1)
-        _CHECK_PARAMS.setdefault(_check, []).append(_param)
-
-CHECK_NAMES: tuple[str, ...] = tuple(sorted(_CHECK_PARAMS))
-
-
-def _check_params(name: str) -> list[str]:
-    """The parameters of the named check; an unknown name is a ValueError."""
-    if name not in _CHECK_PARAMS:
-        raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-    return _CHECK_PARAMS[name]
+CHECK_NAMES: tuple[str, ...] = (
+    "corollary1", "lemma1", "lemma2", "lemma3", "proposition1", "proposition2",
+    "theorem1", "theorem2", "theorem3", "theorem4",
+)
 
 
 def _cap(what: str, max_n: int, default: int, enum_cap: int | None) -> int:
@@ -162,7 +118,7 @@ def minimal_multiplier_oracle(n: int, k: int, cap: int = DEFAULT_ORACLE_CAP) -> 
     return out
 
 
-def check_theorem1(max_n: int, enum_cap: int | None = None) -> CheckReport:
+def check_theorem1(max_n: int = 12, enum_cap: int | None = None) -> CheckReport:
     """Oracle for the first derivative equals lcm(1..n)."""
     cap = _cap("minimal multiplier oracle", max_n, DEFAULT_ORACLE_CAP, enum_cap)
     name, tested = "theorem1", f"1 <= n <= {max_n}"
@@ -175,7 +131,7 @@ def check_theorem1(max_n: int, enum_cap: int | None = None) -> CheckReport:
 
 
 def check_theorem2(
-    oracle_max_n: int, divisibility_max_n: int, enum_cap: int | None = None
+    oracle_max_n: int = 12, divisibility_max_n: int = 20, enum_cap: int | None = None
 ) -> CheckReport:
     """c-table equals the oracle, and c(n, k) divides q(n, k)."""
     cap = _cap("minimal multiplier oracle", oracle_max_n, DEFAULT_ORACLE_CAP, enum_cap)
@@ -198,7 +154,7 @@ def check_theorem2(
 
 
 def check_theorem3(
-    divisibility_max_n: int, witness_max_n: int, enum_cap: int | None = None
+    divisibility_max_n: int = 20, witness_max_n: int = 10, enum_cap: int | None = None
 ) -> CheckReport:
     """q(n, k) divides k! * c(n, k); witness products certify the bound.
 
@@ -246,7 +202,7 @@ def check_theorem3(
 
 
 def check_theorem4(
-    routes_max_n: int, oracle_max_n: int, enum_cap: int | None = None
+    routes_max_n: int = 30, oracle_max_n: int = 12, enum_cap: int | None = None
 ) -> CheckReport:
     """The three lambda routes agree; the oracle lcm reproduces them."""
     cap = _cap("minimal multiplier oracle", oracle_max_n, DEFAULT_ORACLE_CAP, enum_cap)
@@ -272,7 +228,7 @@ def check_theorem4(
     return CheckReport(name, tested, True)
 
 
-def check_lemma1(max_n: int, enum_cap: int | None = None) -> CheckReport:
+def check_lemma1(max_n: int = 16, enum_cap: int | None = None) -> CheckReport:
     """Mean of reciprocal absolute slopes of C(X, n) at 0..n-1 is 2**(n-1)."""
     f = f_table(max_n)
     name, tested = "lemma1", f"1 <= n <= {max_n}"
@@ -289,7 +245,7 @@ def check_lemma1(max_n: int, enum_cap: int | None = None) -> CheckReport:
     return CheckReport(name, tested, True)
 
 
-def check_corollary1(max_n: int, enum_cap: int | None = None) -> CheckReport:
+def check_corollary1(max_n: int = 64, enum_cap: int | None = None) -> CheckReport:
     """lcm(1..n) >= 2**(n-1)."""
     name, tested = "corollary1", f"1 <= n <= {max_n}"
     for n in range(1, max_n + 1):
@@ -298,7 +254,7 @@ def check_corollary1(max_n: int, enum_cap: int | None = None) -> CheckReport:
     return CheckReport(name, tested, True)
 
 
-def check_lemma2(max_a: int, enum_cap: int | None = None) -> CheckReport:
+def check_lemma2(max_a: int = 10_000, enum_cap: int | None = None) -> CheckReport:
     """vp(a) <= a / p, exhaustively."""
     name, tested = "lemma2", f"1 <= a <= {max_a}, p in {LEMMA2_PRIMES}"
     for p in LEMMA2_PRIMES:
@@ -308,7 +264,7 @@ def check_lemma2(max_a: int, enum_cap: int | None = None) -> CheckReport:
     return CheckReport(name, tested, True)
 
 
-def check_lemma3(max_n: int, enum_cap: int | None = None) -> CheckReport:
+def check_lemma3(max_n: int = 30, enum_cap: int | None = None) -> CheckReport:
     """The p-adic valuation of F(k*p, k) is exactly -k."""
     f = f_table(max_n)
     name, tested = "lemma3", f"k*p <= {max_n}, p in {LEMMA3_PRIMES}"
@@ -322,7 +278,7 @@ def check_lemma3(max_n: int, enum_cap: int | None = None) -> CheckReport:
     return CheckReport(name, tested, True)
 
 
-def cross_check_f(max_n: int, enum_cap: int | None = None) -> CheckReport:
+def cross_check_f(max_n: int = 14, enum_cap: int | None = None) -> CheckReport:
     """Five routes to F agree with the table entrywise: direct enumeration,
     the power rule at 0, subsets, partial sums and the two-term recurrence."""
     cap = _cap("direct composition sum", max_n, DEFAULT_ENUM_CAP, enum_cap)
@@ -349,7 +305,7 @@ def cross_check_f(max_n: int, enum_cap: int | None = None) -> CheckReport:
     return CheckReport(name, tested, True)
 
 
-def check_proposition2(max_n: int, enum_cap: int | None = None) -> CheckReport:
+def check_proposition2(max_n: int = 14, enum_cap: int | None = None) -> CheckReport:
     """The q recurrence matches brute-force enumeration."""
     cap = _cap("composition product lcm", max_n, DEFAULT_Q_ENUM_CAP, enum_cap)
     name, tested = "proposition2", f"0 <= k <= n <= {max_n}"
@@ -367,14 +323,26 @@ def check_proposition2(max_n: int, enum_cap: int | None = None) -> CheckReport:
     return CheckReport(name, tested, True)
 
 
-def run_check(name: str, config: VerifyConfig = VerifyConfig()) -> CheckReport:
-    """Run one named check with the configured ranges and cap."""
-    params = {p: getattr(config, f"{name}_{p}") for p in _check_params(name)}
-    # Looked up by name at call time, so a wrapped module attribute is seen.
+def run_check(name: str, max_n: int | None = None, enum_cap: int | None = None) -> CheckReport:
+    """Run one named check at its default ranges, or with every range set to
+    max_n. enum_cap, when set, replaces the cap of every brute-force route
+    (the multiplier oracle, the theorem3 witnesses, and the F and q
+    enumerations); it is the library form of the CLI's IVPOLY_ENUM_CAP."""
+    if name not in CHECK_NAMES:
+        raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+    if max_n is not None and max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    if enum_cap is not None and enum_cap < 1:
+        raise ValueError(f"enum_cap must be >= 1, got {enum_cap}")
+    # Looked up by name at call time, so a wrapped module attribute is seen;
+    # inspect.signature follows the wrapper to the check's own parameters.
     check = globals()["cross_check_f" if name == "proposition1" else f"check_{name}"]
-    return check(**params, enum_cap=config.enum_cap)
+    if max_n is None:
+        return check(enum_cap=enum_cap)
+    ranges = {p: max_n for p in inspect.signature(check).parameters if p != "enum_cap"}
+    return check(**ranges, enum_cap=enum_cap)
 
 
-def run_all(config: VerifyConfig = VerifyConfig()) -> list[CheckReport]:
-    """Every check at its configured range, sorted by check name."""
-    return [run_check(name, config) for name in CHECK_NAMES]
+def run_all(max_n: int | None = None, enum_cap: int | None = None) -> list[CheckReport]:
+    """Every check through run_check, sorted by check name."""
+    return [run_check(name, max_n, enum_cap) for name in CHECK_NAMES]

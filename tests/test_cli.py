@@ -293,7 +293,7 @@ def test_verify_all_small_ranges(capsys):
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
     broken = CheckReport("theorem1", "1 <= n <= 2", False, Counterexample("n=2", "1", "2"))
-    monkeypatch.setattr(cli, "run_all", lambda config: [broken])
+    monkeypatch.setattr(cli, "run_all", lambda max_n, enum_cap: [broken])
     code, out = run_cli(capsys, "verify", "all")
     assert code == 1
     assert "theorem1: FAIL" in out

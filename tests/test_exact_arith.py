@@ -58,6 +58,7 @@ def test_vp_int_reads_primality_past_a_million():
         (Fraction(1), 5, 0),
         (Fraction(1, 3), 3, -1),
         (Fraction(-4, 3), 2, 2),
+        (12, 2, 2),
     ],
 )
 def test_vp_rat(r, p, expected):
@@ -67,6 +68,13 @@ def test_vp_rat(r, p, expected):
 def test_vp_rat_rejects_zero():
     with pytest.raises(ValueError):
         vp_rat(Fraction(0), 2)
+
+
+def test_vp_rat_rejects_what_is_no_exact_rational():
+    # Fraction(0.1) is the binary expansion of 0.1, whose 2-adic valuation is -55.
+    for r in (0.1, 1.0, True, "1/2"):
+        with pytest.raises(ValueError):
+            vp_rat(r, 2)
 
 
 def test_lcm_list():
@@ -169,7 +177,18 @@ class TestPrimeFactorization:
 
     @pytest.mark.parametrize(
         "factors",
-        [((3, 1), (2, 1)), ((2, 0),), ((4, 1),), ((2, 1), (2, 2))],
+        [
+            ((3, 1), (2, 1)),
+            ((2, 0),),
+            ((4, 1),),
+            ((2, 1), (2, 2)),
+            # Not ints: value() would return a float for 2^2.0.
+            ((2, 2.0),),
+            ((3, 1.5),),
+            ((2, True),),
+            ((2.0, 1),),
+            ((True, 1),),
+        ],
     )
     def test_invalid_factors_rejected(self, factors):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from ivpoly import (
     EnumerationCapError,
     IntegerTriangle,
     RationalTriangle,
-    VerifyConfig,
     basis,
     c_table,
     compositions,
@@ -25,7 +24,7 @@ from ivpoly import (
 from ivpoly.stirling import part_multisets
 from ivpoly.verify import CHECK_NAMES, CheckReport
 
-# The exact stdout of `ivpoly verify all` at the default config.
+# The exact stdout of `ivpoly verify all` at the default ranges.
 GOLDEN_VERIFY_ALL = """\
 corollary1: pass [1 <= n <= 64]
 lemma1: pass [1 <= n <= 16]
@@ -38,21 +37,6 @@ theorem2: pass [oracle equality for n <= 12; divisibility for n <= 20]
 theorem3: pass [divisibility for n <= 20; witness compositions with sum <= 10]
 theorem4: pass [three routes for n <= 30; oracle lcm for n <= 12]
 """
-
-SMALL_CONFIG = VerifyConfig(
-    theorem2_oracle_max_n=6,
-    theorem2_divisibility_max_n=8,
-    theorem3_divisibility_max_n=8,
-    theorem3_witness_max_n=6,
-    theorem4_routes_max_n=10,
-    theorem4_oracle_max_n=6,
-    lemma1_max_n=8,
-    lemma2_max_a=500,
-    lemma3_max_n=12,
-    proposition1_max_n=8,
-    proposition2_max_n=8,
-)
-
 
 def _with_entry(triangle, n, k, value):
     """Copy of a table with one entry replaced (fault-injection fixture)."""
@@ -256,7 +240,7 @@ def test_proposition2_names_a_recurrence_mismatch(monkeypatch, small_tables):
 
 
 def test_reports_are_deterministic():
-    assert run_all(SMALL_CONFIG) == run_all(SMALL_CONFIG)
+    assert run_all(max_n=8) == run_all(max_n=8)
 
 
 def test_verify_all_output_is_unchanged(capsys):
@@ -265,9 +249,8 @@ def test_verify_all_output_is_unchanged(capsys):
 
 
 def test_one_enum_cap_also_caps_the_oracle():
-    config = VerifyConfig(enum_cap=5).with_max_n(6, "theorem1")
     with pytest.raises(EnumerationCapError) as excinfo:
-        run_check("theorem1", config)
+        run_check("theorem1", max_n=6, enum_cap=5)
     assert (excinfo.value.requested, excinfo.value.cap) == (6, 5)
 
 
@@ -329,25 +312,42 @@ def test_run_all_default_passes_and_is_sorted():
 
 
 def test_run_all_with_zero_ranges_passes_trivially():
-    reports = run_all(VerifyConfig().with_max_n(0))
+    reports = run_all(max_n=0)
     assert all(r.passed for r in reports)
 
 
 def test_run_check_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        run_check("nosuch")
-
-
-def test_with_max_n_rejects_unknown_name_like_run_check():
     message = f"unknown check 'nosuch'; known: {', '.join(CHECK_NAMES)}"
-    for call in (lambda: run_check("nosuch"), lambda: VerifyConfig().with_max_n(3, "nosuch")):
-        with pytest.raises(ValueError) as excinfo:
-            call()
-        assert str(excinfo.value) == message
+    with pytest.raises(ValueError) as excinfo:
+        run_check("nosuch")
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("runner", [run_all, lambda **kwargs: run_check("theorem1", **kwargs)])
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"max_n": -3}, "max_n must be >= 0, got -3"),
+        ({"enum_cap": 0}, "enum_cap must be >= 1, got 0"),
+        ({"enum_cap": -1}, "enum_cap must be >= 1, got -1"),
+    ],
+)
+def test_run_check_rejects_bad_range_or_cap(runner, kwargs, message):
+    # A negative range would pass vacuously, and a cap below 1 fails at n = 0.
+    with pytest.raises(ValueError) as excinfo:
+        runner(**kwargs)
+    assert str(excinfo.value) == message
 
 
 def test_config_override_single_check():
-    config = VerifyConfig().with_max_n(3, "theorem2")
-    assert config.theorem2_oracle_max_n == 3
-    assert config.theorem2_divisibility_max_n == 3
-    assert config.lemma1_max_n == 16
+    # Both ranges of theorem2 follow max_n.
+    report = run_check("theorem2", max_n=3)
+    assert report.tested == "oracle equality for n <= 3; divisibility for n <= 3"
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_run_check_is_the_check_at_its_defaults_or_at_max_n(name):
+    check = getattr(verify, "cross_check_f" if name == "proposition1" else f"check_{name}")
+    ranges = [4] * (len(inspect.signature(check).parameters) - 1)
+    assert run_check(name) == check()
+    assert run_check(name, max_n=4) == check(*ranges)
