@@ -14,8 +14,8 @@ import os
 import sys
 from typing import Iterable, Iterator
 
-from .constants import c_rows, lambda_factorizations, q_rows
-from .exact_arith import EnumerationCapError, lcm_ratios, radicals
+from .constants import c_rows, q_rows
+from .exact_arith import EnumerationCapError, _verified_prime, lcm_ratios, prime_divisors, radicals
 from .stirling import d_rows, f_rows, stirling_rows
 from .verify import CHECK_NAMES, run_all, run_check
 
@@ -121,11 +121,32 @@ def _running_products(steps: Iterable[int]) -> Iterator[str]:
         yield str(term)
 
 
+def _factored_terms(divisors: Iterable[Iterable[int]]) -> Iterator[str]:
+    """lambda(0), lambda(1), ... in prime-power form, from the ascending
+    primes dividing each n (see exact_arith.prime_divisors).
+
+    The exponent n // p of p rises by one exactly when p divides n, so each
+    term rewrites only those primes' pieces of the term before it. A prime
+    opens its piece at n = p, after every smaller prime's (a dict keeps that
+    order), and passes the primality gate of PrimeFactorization there, once.
+    """
+    pieces: dict[int, str] = {}
+    for n, primes in enumerate(divisors):
+        for p in primes:
+            if p != n:
+                pieces[p] = f"{p}^{n // p}"
+            elif _verified_prime(p):
+                pieces[p] = str(p)
+            else:
+                raise ValueError(f"expected a prime, got {p}")
+        yield " * ".join(pieces.values()) or "1"
+
+
 def cmd_seq(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.factored and args.kind != "lambda":
         parser.error("--factored is only available for 'seq lambda'")
     if args.factored:
-        terms = map(str, lambda_factorizations(args.max_n))
+        terms = _factored_terms(prime_divisors(args.max_n))
     elif args.kind == "lambda":
         terms = _running_products(radicals(args.max_n))
     else:

@@ -6,10 +6,10 @@ equals the lcm of the k-th column of the d-table from row k down to row n.
 q(n, k) is the lcm of all part products over compositions of length k with
 sum <= n, and lambda(n) = lcm of row n of either table, with the closed form
 prod over primes p of p**(n // p). ``lambda_product`` computes one lambda(n)
-and stays the oracle; ``lambda_factorizations`` streams the whole sequence
-from one sieve. Likewise ``q_table`` builds q from a closed form of its
-p-adic valuations, and ``q_recurrence`` (the lcm recurrence) and
-``q_direct`` (enumeration) stay as its oracles.
+and stays the oracle of the sequences that ``ivpoly seq lambda`` streams.
+``q_table`` builds q from a closed form of its p-adic valuations, and
+``q_recurrence`` (the lcm recurrence) and ``q_direct`` (enumeration) stay as
+its oracles.
 """
 
 from __future__ import annotations
@@ -131,15 +131,3 @@ def lambda_product(n: int) -> PrimeFactorization:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return PrimeFactorization(tuple((p, n // p) for p in primes_up_to(n)))
-
-
-def lambda_factorizations(max_n: int) -> Iterator[PrimeFactorization]:
-    """lambda(0), ..., lambda(max_n) in closed form, from one sieve up to max_n."""
-    if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
-    primes = primes_up_to(max_n)
-    count = 0
-    for n in range(max_n + 1):
-        if count < len(primes) and primes[count] == n:
-            count += 1
-        yield PrimeFactorization(tuple((p, n // p) for p in primes[:count]))

@@ -7,7 +7,9 @@ relies on.
 
 The sieve-based sequence helpers ``lcm_ratios`` and ``radicals`` give the
 step factors of lcm(1..n) and lambda(n) for every n up to a bound from one
-``primes_up_to`` sieve, so both sequences stream in linear time.
+``primes_up_to`` sieve, so both sequences stream in linear time;
+``prime_divisors`` gives the primes behind each radical, from which the
+factored lambda(n) streams the same way.
 """
 
 from __future__ import annotations
@@ -154,6 +156,19 @@ def radicals(n: int) -> list[int]:
         for m in range(p, n + 1, p):
             rads[m] *= p
     return rads
+
+
+def prime_divisors(n: int) -> list[list[int]]:
+    """Entry m is the ascending list of the primes dividing m, for 1 <= m <= n,
+    from one sieve. Entry 0 is empty, like entry 1, so the products of the
+    entries are radicals(n)."""
+    if n < 0:
+        raise ValueError(f"prime_divisors needs n >= 0, got {n}")
+    divisors: list[list[int]] = [[] for _ in range(n + 1)]
+    for p in primes_up_to(n):
+        for m in range(p, n + 1, p):
+            divisors[m].append(p)
+    return divisors
 
 
 @dataclass(frozen=True)

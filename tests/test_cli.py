@@ -21,9 +21,11 @@ from ivpoly import (
     lambda_product,
     lcm_list,
     lcm_range,
+    primes_up_to,
     q_table,
     stirling_first,
 )
+from ivpoly.exact_arith import prime_divisors
 from ivpoly.verify import CHECK_NAMES, CheckReport, Counterexample
 from golden import GOLDEN_C, GOLDEN_LAMBDA, GOLDEN_Q
 
@@ -208,19 +210,54 @@ def test_seq_terms_match_the_closed_forms(max_n):
     assert lines("lambda", "--factored") == [str(pf) for pf in expected]
 
 
+def test_seq_lambda_factored_is_the_closed_form_at_the_benchmark_top(capsys):
+    # Every streamed term against lambda_product up to 2500, the largest size
+    # the `seq` workload of bench/ runs, and each format holds the same terms.
+    expected = [str(lambda_product(n)) for n in range(2501)]
+    outputs = {}
+    for fmt in cli.FORMATS:
+        code, outputs[fmt] = run_cli(
+            capsys, "seq", "lambda", "--factored", "--max-n", "2500", "--format", fmt
+        )
+        assert code == 0
+    assert outputs["md"].splitlines() == outputs["csv"].splitlines() == expected
+    assert json.loads(outputs["json"]) == expected
+
+
+def test_factored_terms_pass_each_prime_through_the_gate_once(monkeypatch):
+    calls = []
+
+    def gate(p):
+        calls.append(p)
+        return p != 7
+
+    monkeypatch.setattr(cli, "_verified_prime", gate)
+    with pytest.raises(ValueError, match="^expected a prime, got 7$"):
+        list(cli._factored_terms(prime_divisors(1000)))
+    assert calls == [2, 3, 5, 7]
+
+    calls.clear()
+    monkeypatch.setattr(cli, "_verified_prime", lambda p: calls.append(p) or True)
+    terms = list(cli._factored_terms(prime_divisors(1000)))
+    assert terms[-1] == str(lambda_product(1000))
+    assert calls == primes_up_to(1000)  # pi(1000) = 168 calls for 1001 terms
+
+
 @pytest.mark.parametrize(
     "kind, max_n, budget_s, oracle",
     [
         ("cn", 20000, 10.0, lcm_range),
         ("lambda", 4000, 3.0, lambda n: lambda_product(n).value()),
+        ("lambda --factored", 6000, 1.0, lambda n: str(lambda_product(n))),
     ],
 )
 def test_seq_runs_in_linear_time(kind, max_n, budget_s, oracle):
     # Recomputing each term from scratch takes over a minute for cn at 20000
-    # and about 7 s for lambda at 4000; the streamed route takes well under 1 s.
-    # The output (about 87 MB for cn at 20000) is read in chunks and only its
-    # tail is kept.
-    argv = [sys.executable, "-m", "ivpoly", "seq", kind, "--max-n", str(max_n)]
+    # and about 7 s for lambda at 4000, and one PrimeFactorization per term
+    # about 2 s for the factored lambda at 6000; the streamed routes take well
+    # under 1 s. The output (about 87 MB for cn at 20000) is read in chunks and
+    # only its tail is kept.
+    argv = [sys.executable, "-m", "ivpoly", "seq", *kind.split(), "--max-n", str(max_n)]
     start = time.perf_counter()
     with subprocess.Popen(argv, stdout=subprocess.PIPE) as proc:
         tail = b""
@@ -228,7 +265,9 @@ def test_seq_runs_in_linear_time(kind, max_n, budget_s, oracle):
             tail = (tail + chunk)[-65536:]
     assert proc.returncode == 0
     assert time.perf_counter() - start < budget_s
-    assert Decimal(tail.splitlines()[-1].decode()) == oracle(max_n)
+    last, expected = tail.splitlines()[-1].decode(), oracle(max_n)
+    # A factored term compares as text, a decimal one as a number.
+    assert (last if isinstance(expected, str) else Decimal(last)) == expected
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from ivpoly import (
     vp_int,
     vp_rat,
 )
-from ivpoly.exact_arith import is_prime, lcm_ratios, radicals
+from ivpoly.exact_arith import is_prime, lcm_ratios, prime_divisors, radicals
 
 
 @pytest.mark.parametrize(
@@ -127,11 +127,25 @@ def test_lambda_grows_by_the_radical():
     assert rads[:2] == [1, 1]
 
 
+def test_prime_divisors_match_trial_division():
+    divisors = prime_divisors(1000)
+    assert divisors[:2] == [[], []]
+    for m in range(2, 1001):
+        assert divisors[m] == [p for p in range(2, m + 1) if m % p == 0 and is_prime(p)], m
+    assert [math.prod(primes) for primes in divisors] == radicals(1000)
+
+
 @pytest.mark.parametrize("helper", [lcm_ratios, radicals])
 def test_sequence_helpers_edges(helper):
     assert helper(0) == [1]
     with pytest.raises(ValueError):
         helper(-1)
+
+
+def test_prime_divisors_edges():
+    assert prime_divisors(0) == [[]]
+    with pytest.raises(ValueError, match="n >= 0"):
+        prime_divisors(-1)
 
 
 def test_denominator_of():
