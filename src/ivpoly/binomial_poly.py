@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
 
 from .triangles import RationalTriangle
 

@@ -1,33 +1,22 @@
 """Command-line front end: emit the tables and sequences, run the checks.
 
-Exit codes: 0 success, 1 verification failure, output closed early, or the
-output could not be written, 2 usage error, 3 enumeration cap exceeded. Set
-IVPOLY_ENUM_CAP to raise or lower the brute-force caps, the theorem3 witness
-cap among them.
+Exit codes: 0 success, 1 verification failure, output closed early, the
+output could not be written, or memory ran out, 2 usage error, 3 enumeration
+cap exceeded. Set IVPOLY_ENUM_CAP to raise or lower the brute-force caps, the
+theorem3 witness cap among them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
-from .constants import c_rows, q_rows
+from . import CHECK_NAMES
 from .exact_arith import EnumerationCapError, _verified_prime, lcm_ratios, prime_divisors, radicals
-from .stirling import d_rows, f_rows, stirling_rows
-from .verify import CHECK_NAMES, run_all, run_check
 
-# Each table kind's rows, made one at a time from the row above.
-ROW_SOURCES = {
-    "c": lambda max_n: c_rows(d_rows(f_rows(max_n))),
-    "q": q_rows,
-    "d": lambda max_n: d_rows(f_rows(max_n)),
-    "F": f_rows,
-    "stirling": stirling_rows,
-}
-TABLE_KINDS = tuple(ROW_SOURCES)
+TABLE_KINDS = ("c", "q", "d", "F", "stirling")
 SEQ_KINDS = ("lambda", "cn")
 FORMATS = ("md", "csv", "json")
 
@@ -86,11 +75,35 @@ def _write_joined(head: str, items: Iterable[str], separator: str, tail: str) ->
     write(tail)
 
 
+def _table_rows(kind: str, max_n: int) -> Iterator[list]:
+    """The rows of one table kind, each made from the row above: F from the
+    Stirling row, d from F and c from d, while q has its own closed form.
+    Only the modules a kind reads are imported; `table q` loads neither
+    stirling nor fractions."""
+    if kind == "q":
+        from .constants import q_rows
+
+        return q_rows(max_n)
+    from .stirling import d_rows, f_rows, stirling_rows
+
+    if kind == "stirling":
+        return stirling_rows(max_n)
+    if kind == "F":
+        return f_rows(max_n)
+    if kind == "d":
+        return d_rows(f_rows(max_n))
+    from .constants import c_rows
+
+    return c_rows(d_rows(f_rows(max_n)))
+
+
 def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     kind, max_n = args.kind, args.max_n
     cell = (lambda v: f"{v.numerator}/{v.denominator}") if kind == "F" else str
-    rows = ([*map(cell, row)] for row in ROW_SOURCES[kind](max_n))
+    rows = ([*map(cell, row)] for row in _table_rows(kind, max_n))
     if args.format == "json":
+        import json
+
         head = f'{{"kind": {json.dumps(kind)}, "max_n": {max_n}, "rows": ['
         _write_joined(head, map(json.dumps, rows), ", ", "]}\n")
         return 0
@@ -152,6 +165,8 @@ def cmd_seq(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     else:
         terms = _running_products(lcm_ratios(args.max_n))
     if args.format == "json":
+        import json
+
         _write_joined("[", map(json.dumps, terms), ", ", "]\n")
     else:
         _write_joined("", terms, "\n", "\n")
@@ -173,6 +188,8 @@ def _enum_cap(parser: argparse.ArgumentParser) -> int | None:
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .verify import run_all, run_check
+
     enum_cap = _enum_cap(parser)
     if args.scope == "all":
         reports = run_all(args.max_n, enum_cap)
@@ -206,6 +223,11 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationCapError as error:
         print(f"ivpoly: error: {error}", file=sys.stderr)
         return 3
+    except MemoryError:
+        # What the failed step had built is unwound and freed by now, so
+        # there is room for the one line.
+        print("ivpoly: error: out of memory", file=sys.stderr)
+        return 1
     except OSError as error:
         # The reader closed stdout early (say `ivpoly seq cn | head -1`),
         # which stays silent, or the write failed otherwise (say a full

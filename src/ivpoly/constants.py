@@ -9,17 +9,17 @@ prod over primes p of p**(n // p). ``lambda_product`` computes one lambda(n)
 and stays the oracle of the sequences that ``ivpoly seq lambda`` streams.
 ``q_table`` builds q from a closed form of its p-adic valuations, and
 ``q_recurrence`` (the lcm recurrence) and ``q_direct`` (enumeration) stay as
-its oracles.
+its oracles. The row generators read only exact_arith; the triangle class and
+the brute-force walker are imported where they are used, so streaming q loads
+neither stirling nor fractions.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .exact_arith import EnumerationCapError, PrimeFactorization, lcm_list, primes_up_to
-from .stirling import part_multisets
-from .triangles import IntegerTriangle
 
 # q_direct walks every multiset of k parts with sum <= n, an oracle-only route;
 # the cap stays 18, as the exit-3 boundary and its error message are pinned.
@@ -38,6 +38,8 @@ def c_rows(d_rows: Iterable[Sequence[int]]) -> Iterator[list[int]]:
 def c_table(d: IntegerTriangle) -> IntegerTriangle:
     """Column-wise lcm folds of the d-table, row for row: entry (n, k) is
     lcm of d(m, k) for k <= m <= n."""
+    from .triangles import IntegerTriangle
+
     return IntegerTriangle(c_rows(d.rows))
 
 
@@ -91,6 +93,8 @@ def q_table(max_n: int) -> IntegerTriangle:
     big-by-small multiplication per entry that changes, with q(n, n) = 1,
     over one sieve of the primes up to max_n.
     """
+    from .triangles import IntegerTriangle
+
     return IntegerTriangle(q_rows(max_n))
 
 
@@ -103,6 +107,8 @@ def q_recurrence(max_n: int) -> IntegerTriangle:
     """
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
+    from .triangles import IntegerTriangle
+
     rows: list[list[int]] = [[1]]
     for n in range(1, max_n + 1):
         row = [1]
@@ -120,6 +126,8 @@ def q_direct(n: int, k: int, cap: int = DEFAULT_Q_ENUM_CAP) -> int:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
     if n > cap:
         raise EnumerationCapError("composition product lcm", n, cap)
+    from .stirling import part_multisets
+
     out = 1
     for parts in part_multisets(n, k):
         out = math.lcm(out, math.prod(parts))

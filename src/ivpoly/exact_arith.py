@@ -15,9 +15,7 @@ factored lambda(n) streams the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable
+from collections.abc import Iterable
 
 # vp_int and PrimeFactorization answer primality from a sieve below this
 # bound (the sieve then takes 16 MB at most) and by trial division above it.
@@ -88,6 +86,8 @@ def vp_rat(r: int | Fraction, p: int) -> int:
     Only an int or a Fraction is exact; a float is rejected rather than read
     as its binary expansion.
     """
+    from fractions import Fraction
+
     if not isinstance(r, (int, Fraction)) or isinstance(r, bool):
         raise ValueError(f"valuation needs an int or a Fraction, got {r!r}")
     if r == 0:
@@ -171,18 +171,58 @@ def prime_divisors(n: int) -> list[list[int]]:
     return divisors
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
+class _Record:
+    """An immutable value whose fields are its ``__slots__``, in order.
+
+    Equality, hash and repr read the fields as a frozen dataclass's do: equal
+    only to an instance of the same class, hashed as the tuple of the fields,
+    shown as ``Name(field=value, ...)``. Any assignment raises AttributeError;
+    a subclass's __init__ validates its arguments and passes them here.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for field, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, field, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt through __init__, which validates.
+        return type(self), self._values()
+
+
+class PrimeFactorization(_Record):
     """Prime-power factorization as (prime, exponent) pairs, primes increasing.
 
     The empty factorization represents 1.
     """
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
+    def __init__(self, factors: tuple[tuple[int, int], ...]):
         previous = 1
-        for p, e in self.factors:
+        for p, e in factors:
             # Exactly int: a float would pass the checks below, and True is no
             # prime or exponent though bool subclasses int.
             if type(p) is not int or type(e) is not int:
@@ -194,6 +234,7 @@ class PrimeFactorization:
             if e < 1:
                 raise ValueError(f"exponents must be >= 1, got {p}^{e}")
             previous = p
+        super().__init__(factors)
 
     def value(self) -> int:
         out = 1

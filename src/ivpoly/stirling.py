@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .exact_arith import EnumerationCapError
 from .triangles import IntegerTriangle, RationalTriangle, StirlingTable

@@ -12,15 +12,14 @@ the same arguments produce identical reports.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import CHECK_NAMES
 from .binomial_poly import MonomialPoly, basis, falling_factorials, from_values
 from .constants import DEFAULT_Q_ENUM_CAP, c_table, lambda_product, q_direct, q_recurrence, q_table
-from .exact_arith import EnumerationCapError, lcm_list, lcm_range, vp_int, vp_rat
+from .exact_arith import EnumerationCapError, _Record, lcm_list, lcm_range, vp_int, vp_rat
 from .stirling import (
     DEFAULT_ENUM_CAP,
     d_table,
@@ -43,34 +42,27 @@ LEMMA2_PRIMES = (2, 3, 5, 7)
 LEMMA3_PRIMES = (2, 3, 5)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(_Record):
     """Parameters plus the two values that were supposed to agree."""
 
-    params: str
-    lhs: str
-    rhs: str
+    __slots__ = ("params", "lhs", "rhs")
+
+    def __init__(self, params: str, lhs: str, rhs: str):
+        super().__init__(params, lhs, rhs)
 
     def __str__(self) -> str:
         return f"{self.params}: {self.lhs} vs {self.rhs}"
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    tested: str
-    passed: bool
-    counterexample: Counterexample | None = None
+class CheckReport(_Record):
+    __slots__ = ("name", "tested", "passed", "counterexample")
 
-    def __post_init__(self):
-        if not self.passed and self.counterexample is None:
+    def __init__(
+        self, name: str, tested: str, passed: bool, counterexample: Counterexample | None = None
+    ):
+        if not passed and counterexample is None:
             raise ValueError("a failing report must carry a counterexample")
-
-
-CHECK_NAMES: tuple[str, ...] = (
-    "corollary1", "lemma1", "lemma2", "lemma3", "proposition1", "proposition2",
-    "theorem1", "theorem2", "theorem3", "theorem4",
-)
+        super().__init__(name, tested, passed, counterexample)
 
 
 def _cap(what: str, max_n: int, default: int, enum_cap: int | None) -> int:
@@ -339,6 +331,8 @@ def run_check(name: str, max_n: int | None = None, enum_cap: int | None = None) 
     check = globals()["cross_check_f" if name == "proposition1" else f"check_{name}"]
     if max_n is None:
         return check(enum_cap=enum_cap)
+    import inspect
+
     ranges = {p: max_n for p in inspect.signature(check).parameters if p != "enum_cap"}
     return check(**ranges, enum_cap=enum_cap)
 

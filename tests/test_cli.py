@@ -301,6 +301,59 @@ def test_unwritable_output_exits_one_with_one_line(args):
     assert line.startswith("ivpoly: error: cannot write the output: ")
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
+def test_out_of_memory_exits_one_with_one_line():
+    # The sieve and step lists of 10**8 entries outgrow a 256 MB address
+    # space before the first term; the limit holds in the child only.
+    import resource
+
+    limit = 256 * 1024 * 1024
+    proc = subprocess.run(
+        [sys.executable, "-m", "ivpoly", "seq", "cn", "--max-n", "100000000"],
+        capture_output=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.decode().splitlines() == ["ivpoly: error: out of memory"]
+
+
+def _imported_modules(*args):
+    """The modules a fresh interpreter reports under -X importtime."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, check=True
+    )
+    return {
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.decode().splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def test_table_and_seq_import_only_what_they_run():
+    # What the interpreter's own start-up loads (site, say) is not ours.
+    startup = _imported_modules("-c", "pass")
+    unused = {
+        "ivpoly.verify", "ivpoly.binomial_poly", "ivpoly.stirling", "ivpoly.triangles",
+        "dataclasses", "inspect", "json", "fractions",
+    }
+    for args, also_unused in (
+        (["table", "q", "--max-n", "5", "--format", "csv"], {"decimal"}),
+        (["seq", "cn", "--max-n", "5"], {"ivpoly.constants"}),
+    ):
+        loaded = _imported_modules("-m", "ivpoly", *args)
+        assert "ivpoly.exact_arith" in loaded
+        assert loaded - startup & (unused | also_unused) == set(), args
+    for kind in ("table q", "seq cn"):
+        assert "json" in _imported_modules("-m", "ivpoly", *kind.split(), "--format", "json")
+    verify = subprocess.run(
+        [sys.executable, "-m", "ivpoly", "verify", "lemma1", "--max-n", "5"],
+        capture_output=True, check=True,
+    )
+    assert verify.stdout == b"lemma1: pass [1 <= n <= 5]\n"
+
+
 def test_output_is_deterministic(capsys):
     _, first = run_cli(capsys, "table", "c", "--max-n", "10", "--format", "csv")
     _, second = run_cli(capsys, "table", "c", "--max-n", "10", "--format", "csv")
@@ -332,7 +385,7 @@ def test_verify_all_small_ranges(capsys):
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
     broken = CheckReport("theorem1", "1 <= n <= 2", False, Counterexample("n=2", "1", "2"))
-    monkeypatch.setattr(cli, "run_all", lambda max_n, enum_cap: [broken])
+    monkeypatch.setattr("ivpoly.verify.run_all", lambda max_n, enum_cap: [broken])
     code, out = run_cli(capsys, "verify", "all")
     assert code == 1
     assert "theorem1: FAIL" in out
