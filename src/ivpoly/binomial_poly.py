@@ -107,7 +107,13 @@ class BinomialPoly(_Poly):
         return BinomialPoly(acc)
 
     def eval_int(self, x: int) -> Fraction | int:
-        """Exact value at an integer (negative allowed), via C(x, j) products."""
+        """Exact value at an integer (negative allowed), via C(x, j) products.
+
+        The terms are summed as ints over the lcm of the coefficient
+        denominators and divided once; the value is an int when every nonzero
+        coefficient is one, as the sum of the terms themselves would be.
+        """
+        scale = math.lcm(*(c.denominator for c in self.coeffs))
         total = 0
         binom = 1  # C(x, 0)
         for j, c in enumerate(self.coeffs):
@@ -115,8 +121,10 @@ class BinomialPoly(_Poly):
                 # exact: C(x, j-1) * (x - j + 1) is divisible by j
                 binom = binom * (x - j + 1) // j
             if c:
-                total += c * binom
-        return total
+                total += c.numerator * (scale // c.denominator) * binom
+        if all(isinstance(c, int) for c in self.coeffs if c):
+            return total
+        return Fraction(total, scale)
 
     def is_integer_valued(self) -> bool:
         """True iff every basis coefficient is an integer."""

@@ -3,32 +3,39 @@
 F(n, k) is the sum of 1/(i_1 * ... * i_k) over all ordered ways of writing n
 as k positive parts; equivalently k!/n! times |s(n, k)|. The production route
 is that Stirling quotient, read row by row from the integer Stirling rows with
-one reduction per entry; four further routes (direct enumeration, a subset
-sum, a partial-sum recurrence, and the two-term recurrence
+one reduction per entry; four further routes (a partition sum, a subset sum,
+a partial-sum recurrence, and the two-term recurrence
 F(n+1, k) = k/(n+1) * F(n, k-1) + n/(n+1) * F(n, k)) recompute the entries
 so that each can serve as an oracle for the others. The denominators of F
 form the d-table that the headline constants are folded from.
+``compositions`` has no caller here: it is kept as the test oracle of the
+partition walk and for the benchmark tracer, which wraps it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .exact_arith import EnumerationCapError
 from .triangles import IntegerTriangle, RationalTriangle, StirlingTable
 
-# Direct enumeration walks all C(n-1, k-1) compositions per entry, so it is
-# reserved for oracle duty at small n.
+# The subset route walks all C(n-1, k-1) subsets per entry, about 4x more per
+# +2 in n, so both brute-force routes are reserved for oracle duty at small n.
 DEFAULT_ENUM_CAP = 22
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Ordered tuples of ``parts`` positive integers summing to ``total``, in
     lexicographic order: one per choice of ``parts - 1`` cut points in
-    ``1..total - 1``, the parts being the gaps between 0, the cuts and total."""
+    ``1..total - 1``, the parts being the gaps between 0, the cuts and total.
+
+    No route of the package walks it: it is kept as the test oracle of
+    ``part_multisets`` and ``f_direct``, and the benchmark tracer wraps it.
+    """
     if parts == total == 0:
         yield ()
     if parts < 1 or total < parts:
@@ -41,10 +48,26 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def part_multisets(max_total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Each multiset of ``parts`` positive integers with sum <= max_total,
-    as one tuple with the parts ascending."""
-    for multiset in itertools.combinations_with_replacement(range(1, max_total - parts + 2), parts):
-        if sum(multiset) <= max_total:
-            yield multiset
+    as one tuple with the parts ascending, in lexicographic order.
+
+    The walk picks the smallest part first and each later part at least as
+    large as the one before, so a part never exceeds what the budget left
+    can give to it and to every part after it; no candidate is discarded.
+    """
+    if parts < 0:
+        raise ValueError(f"parts must be >= 0, got {parts}")
+    if max_total >= 0:
+        yield from _ascending_parts((), 1, max_total, parts)
+
+
+def _ascending_parts(
+    prefix: tuple[int, ...], smallest: int, budget: int, left: int
+) -> Iterator[tuple[int, ...]]:
+    if left == 0:
+        yield prefix
+        return
+    for part in range(smallest, budget // left + 1):
+        yield from _ascending_parts((*prefix, part), part, budget - part, left - 1)
 
 
 def stirling_rows(max_n: int) -> Iterator[list[int]]:
@@ -109,21 +132,31 @@ def f_recurrence(max_n: int) -> RationalTriangle:
 
 
 def f_direct(n: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
-    """F(n, k) by brute force: sum 1/(product of parts) over compositions."""
+    """F(n, k) by brute force: sum 1/(product of parts) over compositions.
+
+    Each partition of n into k parts stands for its k!/prod(multiplicity!)
+    orderings, a counting fact that reads no Stirling number. A product of
+    parts with sum n divides n!, so the sum runs in integers over n!.
+    """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
     if n > cap:
         raise EnumerationCapError("direct composition sum", n, cap)
-    total = Fraction(0)
-    for parts in compositions(n, k):
-        total += Fraction(1, math.prod(parts))
-    return total
+    scale, orderings = math.factorial(n), math.factorial(k)
+    total = 0
+    for parts in part_multisets(n, k):
+        if sum(parts) == n:
+            repeats = math.prod(map(math.factorial, Counter(parts).values()))
+            total += orderings // repeats * (scale // math.prod(parts))
+    return Fraction(total, scale)
 
 
 def f_from_subsets(n: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     """F(n, k) for k >= 2 as k!/n times a sum over (k-1)-subsets of 1..n-1.
 
     Each subset {i_1 < ... < i_{k-1}} contributes 1/(i_1 * ... * i_{k-1}).
+    A product of distinct numbers below n divides (n-1)!, so the sum runs in
+    integers over (n-1)!.
     """
     if k < 2:
         raise ValueError(f"the subset formula needs k >= 2, got k = {k}")
@@ -131,10 +164,10 @@ def f_from_subsets(n: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
         raise ValueError(f"need k <= n, got ({n}, {k})")
     if n > cap:
         raise EnumerationCapError("subset reciprocal sum", n, cap)
-    total = Fraction(0)
-    for subset in itertools.combinations(range(1, n), k - 1):
-        total += Fraction(1, math.prod(subset))
-    return Fraction(math.factorial(k), n) * total
+    scale = math.factorial(n - 1)
+    subsets = itertools.combinations(range(1, n), k - 1)
+    total = sum(scale // math.prod(subset) for subset in subsets)
+    return Fraction(math.factorial(k) * total, n * scale)
 
 
 def f_from_partial_sums(n: int, k: int, table: RationalTriangle) -> Fraction:

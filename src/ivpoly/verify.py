@@ -327,13 +327,16 @@ def run_check(name: str, max_n: int | None = None, enum_cap: int | None = None) 
     if enum_cap is not None and enum_cap < 1:
         raise ValueError(f"enum_cap must be >= 1, got {enum_cap}")
     # Looked up by name at call time, so a wrapped module attribute is seen;
-    # inspect.signature follows the wrapper to the check's own parameters.
+    # the ranges are read from the code of the check under any wrappers made
+    # with functools.wraps, which record what they wrap in __wrapped__.
     check = globals()["cross_check_f" if name == "proposition1" else f"check_{name}"]
     if max_n is None:
         return check(enum_cap=enum_cap)
-    import inspect
-
-    ranges = {p: max_n for p in inspect.signature(check).parameters if p != "enum_cap"}
+    inner = check
+    while hasattr(inner, "__wrapped__"):
+        inner = inner.__wrapped__
+    params = inner.__code__.co_varnames[: inner.__code__.co_argcount]
+    ranges = {p: max_n for p in params if p != "enum_cap"}
     return check(**ranges, enum_cap=enum_cap)
 
 

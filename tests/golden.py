@@ -1,6 +1,12 @@
 """Frozen reference values for the published triangles and sequence, and
 replaced code kept as a test oracle for its replacement."""
 
+import itertools
+import math
+from fractions import Fraction
+
+from ivpoly.stirling import compositions
+
 # Triangle of the minimal k-th-derivative multipliers c(n, k), rows n = 0..10.
 GOLDEN_C = [
     [1],
@@ -51,3 +57,43 @@ def compositions_recursive(total, parts):
     for first in range(1, total - parts + 2):
         for rest in compositions_recursive(total - first, parts - 1):
             yield (first,) + rest
+
+
+def f_direct_fractions(n, k):
+    """The composition sum that ``stirling.f_direct`` replaced: one Fraction
+    per composition of n into k parts."""
+    total = Fraction(0)
+    for parts in compositions(n, k):
+        total += Fraction(1, math.prod(parts))
+    return total
+
+
+def f_from_subsets_fractions(n, k):
+    """The subset sum that ``stirling.f_from_subsets`` replaced: one Fraction
+    per (k-1)-subset of 1..n-1, times k!/n."""
+    total = Fraction(0)
+    for subset in itertools.combinations(range(1, n), k - 1):
+        total += Fraction(1, math.prod(subset))
+    return Fraction(math.factorial(k), n) * total
+
+
+def part_multisets_filtered(max_total, parts):
+    """The walk that ``stirling.part_multisets`` replaced: every ascending
+    tuple of parts up to max_total - parts + 1, kept when its sum fits."""
+    pool = range(1, max_total - parts + 2)
+    for multiset in itertools.combinations_with_replacement(pool, parts):
+        if sum(multiset) <= max_total:
+            yield multiset
+
+
+def eval_int_loop(poly, x):
+    """The loop that ``BinomialPoly.eval_int`` replaced: one term per
+    coefficient, added in the coefficient's own type."""
+    total = 0
+    binom = 1  # C(x, 0)
+    for j, c in enumerate(poly.coeffs):
+        if j > 0:
+            binom = binom * (x - j + 1) // j
+        if c:
+            total += c * binom
+    return total

@@ -15,6 +15,7 @@ from ivpoly import (
     stirling_first,
 )
 from ivpoly.binomial_poly import falling_factorials
+from golden import eval_int_loop
 
 F12 = f_table(12)
 
@@ -87,6 +88,32 @@ def test_eval_int():
     assert basis(3).eval_int(3) == 1
     assert basis(2).eval_int(-1) == 1
     assert BinomialPoly().eval_int(9) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(-50, 50), st.fractions(max_denominator=30), st.just(Fraction(3))),
+        max_size=12,
+    ),
+    st.integers(-20, 20),
+)
+def test_eval_int_matches_the_term_by_term_sum(coeffs, x):
+    # Same value and same type as adding each term in its coefficient's type:
+    # an int for int coefficients, a Fraction once one is a Fraction.
+    poly = BinomialPoly(coeffs)
+    value, expected = poly.eval_int(x), eval_int_loop(poly, x)
+    assert value == expected and type(value) is type(expected)
+
+
+def test_eval_int_keeps_the_type_of_the_term_sum():
+    slopes = [basis(n).derivative(1, F12) for n in range(1, 13)]
+    for poly in (*slopes, from_values([4, -1, 7, 0, 2]), BinomialPoly([0, Fraction(0), 5])):
+        for x in range(-6, 14):
+            value, expected = poly.eval_int(x), eval_int_loop(poly, x)
+            assert value == expected and type(value) is type(expected), (poly, x)
+    assert type(BinomialPoly([1, 2]).eval_int(-3)) is int
+    assert type(BinomialPoly([1, Fraction(2)]).eval_int(-3)) is Fraction
 
 
 def test_is_integer_valued():

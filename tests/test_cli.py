@@ -270,6 +270,18 @@ def test_seq_runs_in_linear_time(kind, max_n, budget_s, oracle):
     assert (last if isinstance(expected, str) else Decimal(last)) == expected
 
 
+def test_proposition1_at_twenty_runs_in_seconds():
+    # One Fraction per composition and per subset took over 10 s at 20; the
+    # integer partition and subset sums take about 0.5 s.
+    argv = [sys.executable, "-m", "ivpoly", "verify", "proposition1", "--max-n", "20"]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, capture_output=True)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b"proposition1: pass [0 <= k <= n <= 20]\n"
+    assert elapsed < 3.0
+
+
 @pytest.mark.parametrize(
     "args", [["seq", "cn", "--max-n", "3000"], ["table", "F", "--max-n", "150"]]
 )
@@ -352,6 +364,10 @@ def test_table_and_seq_import_only_what_they_run():
         capture_output=True, check=True,
     )
     assert verify.stdout == b"lemma1: pass [1 <= n <= 5]\n"
+    # run_check reads a check's ranges from its code, not through inspect.
+    loaded = _imported_modules("-m", "ivpoly", "verify", "lemma2", "--max-n", "5")
+    assert "ivpoly.verify" in loaded
+    assert loaded - startup & {"inspect"} == set()
 
 
 def test_output_is_deterministic(capsys):

@@ -20,7 +20,12 @@ from ivpoly import (
     vp_rat,
 )
 from ivpoly.stirling import part_multisets
-from golden import compositions_recursive
+from golden import (
+    compositions_recursive,
+    f_direct_fractions,
+    f_from_subsets_fractions,
+    part_multisets_filtered,
+)
 
 
 def _abs_stirling_by_subsets(n: int, k: int) -> int:
@@ -50,6 +55,19 @@ def test_part_multisets():
     for n in range(6):
         assert list(part_multisets(n, 0)) == [()]
     assert list(part_multisets(3, 4)) == []
+
+
+def test_part_multisets_match_the_filtered_walk():
+    # Same tuples in the same (lexicographic) order as the walk that kept
+    # the ascending tuples whose sum fits, edge cases included.
+    for max_total in range(-1, 15):
+        for parts in range(max_total + 3):
+            assert list(part_multisets(max_total, parts)) == list(
+                part_multisets_filtered(max_total, parts)
+            ), (max_total, parts)
+    for walk in (part_multisets, part_multisets_filtered):
+        with pytest.raises(ValueError):
+            list(walk(5, -1))
 
 
 class TestStirlingFirst:
@@ -135,6 +153,15 @@ def test_f_from_subsets():
         f_from_subsets(4, 1)
     with pytest.raises(EnumerationCapError):
         f_from_subsets(30, 3)
+
+
+def test_f_routes_match_the_fraction_sums():
+    # The integer sums against the replaced one-Fraction-per-term sums.
+    for n in range(15):
+        for k in range(n + 1):
+            assert f_direct(n, k) == f_direct_fractions(n, k), (n, k)
+            if k >= 2:
+                assert f_from_subsets(n, k) == f_from_subsets_fractions(n, k), (n, k)
 
 
 def test_f_from_partial_sums(f20):

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 from fractions import Fraction
@@ -351,3 +352,26 @@ def test_run_check_is_the_check_at_its_defaults_or_at_max_n(name):
     ranges = [4] * (len(inspect.signature(check).parameters) - 1)
     assert run_check(name) == check()
     assert run_check(name, max_n=4) == check(*ranges)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_run_check_sets_the_ranges_of_a_wrapped_check(depth, monkeypatch):
+    # The benchmark tracer replaces each check by a functools.wraps wrapper
+    # taking (*args, **kwargs); max_n must still reach the check's own ranges.
+    calls = []
+
+    def wrap(inner):
+        @functools.wraps(inner)
+        def wrapper(*args, **kwargs):
+            calls.append(kwargs)
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    check = verify.check_theorem2
+    for _ in range(depth):
+        check = wrap(check)
+    monkeypatch.setattr(verify, "check_theorem2", check)
+    report = run_check("theorem2", max_n=3)
+    assert report.tested == "oracle equality for n <= 3; divisibility for n <= 3"
+    assert calls == [{"oracle_max_n": 3, "divisibility_max_n": 3, "enum_cap": None}] * depth
