@@ -9,12 +9,13 @@ theorem3 witness cap among them.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
 
 from . import CHECK_NAMES
-from .exact_arith import EnumerationCapError, _verified_prime, lcm_ratios, prime_divisors, radicals
+from .exact_arith import EnumerationCapError, _verified_prime, prime_divisors
 
 TABLE_KINDS = ("c", "q", "d", "F", "stirling")
 SEQ_KINDS = ("lambda", "cn")
@@ -22,7 +23,10 @@ FORMATS = ("md", "csv", "json")
 
 
 def _nonnegative(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -158,12 +162,14 @@ def _factored_terms(divisors: Iterable[Iterable[int]]) -> Iterator[str]:
 def cmd_seq(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.factored and args.kind != "lambda":
         parser.error("--factored is only available for 'seq lambda'")
+    # lambda(n) gains rad(n); lcm(1..n) gains p when p is the only prime dividing n.
+    divisors = prime_divisors(args.max_n)
     if args.factored:
-        terms = _factored_terms(prime_divisors(args.max_n))
+        terms = _factored_terms(divisors)
     elif args.kind == "lambda":
-        terms = _running_products(radicals(args.max_n))
+        terms = _running_products(map(math.prod, divisors))
     else:
-        terms = _running_products(lcm_ratios(args.max_n))
+        terms = _running_products(ps[0] if len(ps) == 1 else 1 for ps in divisors)
     if args.format == "json":
         import json
 

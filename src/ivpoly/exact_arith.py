@@ -5,17 +5,17 @@ rational reduced with a positive denominator, so nothing here ever rounds;
 these wrappers add the domain checks and conventions the rest of the package
 relies on.
 
-The sieve-based sequence helpers ``lcm_ratios`` and ``radicals`` give the
-step factors of lcm(1..n) and lambda(n) for every n up to a bound from one
-``primes_up_to`` sieve, so both sequences stream in linear time;
-``prime_divisors`` gives the primes behind each radical, from which the
-factored lambda(n) streams the same way.
+``prime_divisors`` walks 0..n once over a table of least prime factors and
+yields the distinct primes of each m. Both sequences step by what they say:
+lcm(1..m) gains p exactly when m is a power of the prime p, and lambda(m)
+gains rad(m), the product of the primes dividing m. So lcm(1..n), lambda(n)
+and the factored lambda(n) all stream from that one walk.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 
 # vp_int and PrimeFactorization answer primality from a sieve below this
 # bound (the sieve then takes 16 MB at most) and by trial division above it.
@@ -129,46 +129,37 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, flag in enumerate(_sieve(n)) if flag]
 
 
-def lcm_ratios(n: int) -> list[int]:
-    """Entry m is lcm_range(m) // lcm_range(m - 1): p when m is a power of a
-    prime p, and 1 otherwise. Entry 0 is 1, so the running products of the
-    list are lcm_range(0), ..., lcm_range(n)."""
-    if n < 0:
-        raise ValueError(f"lcm_ratios needs n >= 0, got {n}")
-    ratios = [1] * (n + 1)
-    for p in primes_up_to(n):
-        power = p
-        while power <= n:
-            ratios[power] = p
-            power *= p
-    return ratios
+def prime_divisors(n: int) -> Iterator[list[int]]:
+    """The ascending primes dividing m, for m = 0, 1, ..., n (none for 0 and 1).
 
-
-def radicals(n: int) -> list[int]:
-    """Entry m is rad(m), the product of the primes dividing m, for 1 <= m <= n,
-    which is lambda(m) // lambda(m - 1) since the exponent m // p of p rises by
-    one exactly when p divides m. Entry 0 is 1, so the running products of the
-    list are lambda(0), ..., lambda(n)."""
-    if n < 0:
-        raise ValueError(f"radicals needs n >= 0, got {n}")
-    rads = [1] * (n + 1)
-    for p in primes_up_to(n):
-        for m in range(p, n + 1, p):
-            rads[m] *= p
-    return rads
-
-
-def prime_divisors(n: int) -> list[list[int]]:
-    """Entry m is the ascending list of the primes dividing m, for 1 <= m <= n,
-    from one sieve. Entry 0 is empty, like entry 1, so the products of the
-    entries are radicals(n)."""
+    The table of least prime factors, 4 bytes per m, is built at the call;
+    the lists are made one at a time."""
     if n < 0:
         raise ValueError(f"prime_divisors needs n >= 0, got {n}")
-    divisors: list[list[int]] = [[] for _ in range(n + 1)]
-    for p in primes_up_to(n):
-        for m in range(p, n + 1, p):
-            divisors[m].append(p)
-    return divisors
+    from array import array
+
+    # least[m] is the least prime factor of a composite m and 0 for a prime.
+    # Each prime p <= isqrt(n) marks its multiples from p * p on, the largest
+    # first, so the least prime dividing m writes last.
+    least = array("I", [0]) * (n + 1)
+    for p in reversed(primes_up_to(math.isqrt(n))):
+        least[p * p :: p] = array("I", [p]) * len(range(p * p, n + 1, p))
+    return _divisor_lists(least)
+
+
+def _divisor_lists(least: Sequence[int]) -> Iterator[list[int]]:
+    for m, p in enumerate(least):
+        primes = []
+        while p:
+            primes.append(p)
+            m //= p
+            while m % p == 0:
+                m //= p
+            p = least[m]
+        # What no table entry splits further is 0, 1 or a prime.
+        if m > 1:
+            primes.append(m)
+        yield primes
 
 
 class _Record:

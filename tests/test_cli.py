@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -313,10 +314,43 @@ def test_unwritable_output_exits_one_with_one_line(args):
     assert line.startswith("ivpoly: error: cannot write the output: ")
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+@pytest.mark.parametrize(
+    "args, budget_mb",
+    [
+        ("lambda --factored --max-n 300000", 24),
+        ("lambda --max-n 300000", 24),
+        ("cn --max-n 3000000", 40),
+    ],
+)
+def test_seq_memory_before_the_first_line(args, budget_mb):
+    # Like `ivpoly seq ... | head -1`. One step list per n took 45, 27 and
+    # 48 MB before the first line; the least-factor table takes 4 bytes per n.
+    # Linux counts the forking process's high-water mark into the child's
+    # ru_maxrss, so a small wrapper starts the run and reads that child's own
+    # usage with os.wait4 (RUSAGE_CHILDREN keeps the largest earlier child).
+    wrapper = (
+        "import os, subprocess, sys\n"
+        "argv = [sys.executable, '-m', 'ivpoly', 'seq', *sys.argv[1:]]\n"
+        "proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)\n"
+        "line = proc.stdout.readline()\n"
+        "proc.stdout.close()\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+        "print(repr((line, proc.returncode, proc.stderr.read(), usage.ru_maxrss)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", wrapper, *args.split()], capture_output=True, check=True
+    )
+    line, code, err, maxrss_kib = ast.literal_eval(proc.stdout.decode())
+    assert (line, code, err) == (b"1\n", 1, b"")
+    assert maxrss_kib < budget_mb * 1024
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
 def test_out_of_memory_exits_one_with_one_line():
-    # The sieve and step lists of 10**8 entries outgrow a 256 MB address
-    # space before the first term; the limit holds in the child only.
+    # The least-factor table of 10**8 entries (400 MB) outgrows a 256 MB
+    # address space before the first term; the limit holds in the child only.
     import resource
 
     limit = 256 * 1024 * 1024
@@ -351,7 +385,7 @@ def test_table_and_seq_import_only_what_they_run():
         "dataclasses", "inspect", "json", "fractions",
     }
     for args, also_unused in (
-        (["table", "q", "--max-n", "5", "--format", "csv"], {"decimal"}),
+        (["table", "q", "--max-n", "5", "--format", "csv"], {"decimal", "array"}),
         (["seq", "cn", "--max-n", "5"], {"ivpoly.constants"}),
     ):
         loaded = _imported_modules("-m", "ivpoly", *args)
@@ -487,12 +521,15 @@ def test_env_cap_is_honored(capsys, monkeypatch):
                 reason="this Python parses integers of any length",
             ),
         ),
+        ["table", "c", "--max-n", "abc"],
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv)
     assert excinfo.value.code == 2
+    # argparse names the option and the reason, never a private function.
+    assert "_nonnegative" not in capsys.readouterr().err
 
 
 def test_invalid_env_cap_exits_two(monkeypatch, capsys):

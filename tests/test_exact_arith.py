@@ -15,7 +15,7 @@ from ivpoly import (
     vp_int,
     vp_rat,
 )
-from ivpoly.exact_arith import is_prime, lcm_ratios, prime_divisors, radicals
+from ivpoly.exact_arith import is_prime, prime_divisors
 
 
 @pytest.mark.parametrize(
@@ -98,52 +98,50 @@ def test_lcm_range():
         lcm_range(-1)
 
 
-def _prime_power_base(n: int) -> int | None:
-    """Return p if n = p**e for a prime p, else None."""
-    for p in primes_up_to(n):
-        if n % p == 0:
-            m = n
-            while m % p == 0:
-                m //= p
-            return p if m == 1 else None
-    return None
+def _trial_division_primes(m: int) -> list[int]:
+    return [p for p in range(2, m + 1) if m % p == 0 and is_prime(p)]
 
 
 def test_lcm_range_grows_only_at_prime_powers():
-    ratios = lcm_ratios(100)
+    # lcm(1..n) gains p when p is the only prime dividing n, else nothing.
+    divisors = list(prime_divisors(100))
+    assert divisors[:2] == [[], []]
     for n in range(2, 101):
-        ratio = lcm_range(n) // lcm_range(n - 1)
-        p = _prime_power_base(n)
-        assert ratio == ratios[n] == (p if p is not None else 1), n
-    assert ratios[:2] == [1, 1]
+        primes = divisors[n]
+        step = primes[0] if len(primes) == 1 else 1
+        assert lcm_range(n) == lcm_range(n - 1) * step, n
 
 
 def test_lambda_grows_by_the_radical():
-    rads = radicals(100)
+    # lambda(n) gains the product of the primes dividing n.
+    divisors = list(prime_divisors(100))
     for n in range(2, 101):
-        ratio = lambda_product(n).value() // lambda_product(n - 1).value()
         rad = math.prod(p for p in primes_up_to(n) if n % p == 0)
-        assert ratio == rads[n] == rad, n
-    assert rads[:2] == [1, 1]
+        assert math.prod(divisors[n]) == rad, n
+        assert lambda_product(n).value() == lambda_product(n - 1).value() * rad, n
 
 
 def test_prime_divisors_match_trial_division():
-    divisors = prime_divisors(1000)
+    divisors = list(prime_divisors(1000))
     assert divisors[:2] == [[], []]
     for m in range(2, 1001):
-        assert divisors[m] == [p for p in range(2, m + 1) if m % p == 0 and is_prime(p)], m
-    assert [math.prod(primes) for primes in divisors] == radicals(1000)
+        assert divisors[m] == _trial_division_primes(m), m
 
 
-@pytest.mark.parametrize("helper", [lcm_ratios, radicals])
-def test_sequence_helpers_edges(helper):
-    assert helper(0) == [1]
-    with pytest.raises(ValueError):
-        helper(-1)
+def test_prime_divisors_at_the_table_edges():
+    # Where the least-factor table can be off by one: around p * p for each
+    # prime p <= 47 (so isqrt(n) is or is not p), at primes and at powers of 2.
+    edges = [*range(5), *primes_up_to(60), *(2**k for k in range(12))]
+    for p in primes_up_to(47):
+        edges += [p * p - 1, p * p, p * p + 1]
+    expected = [_trial_division_primes(m) for m in range(max(edges) + 1)]
+    for n in edges:
+        assert list(prime_divisors(n)) == expected[: n + 1], n
 
 
 def test_prime_divisors_edges():
-    assert prime_divisors(0) == [[]]
+    assert list(prime_divisors(0)) == [[]]
+    # Refused at the call, before the first list is asked for.
     with pytest.raises(ValueError, match="n >= 0"):
         prime_divisors(-1)
 
