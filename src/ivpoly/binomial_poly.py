@@ -71,9 +71,6 @@ class BinomialPoly(_Poly):
 
     __slots__ = ()
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def forward_difference(self, i: int = 1) -> "BinomialPoly":
         """i-th forward difference: shifts basis coefficients down i slots."""
         if i < 0:

@@ -5,8 +5,8 @@ rational reduced with a positive denominator, so nothing here ever rounds;
 these wrappers add the domain checks and conventions the rest of the package
 relies on.
 
-``prime_divisors`` walks 0..n once over a table of least prime factors and
-yields the distinct primes of each m. Both sequences step by what they say:
+``prime_divisors`` walks 0..n once, holding only the primes up to isqrt(n),
+and yields the distinct primes of each m. Both sequences step by what they say:
 lcm(1..m) gains p exactly when m is a power of the prime p, and lambda(m)
 gains rad(m), the product of the primes dividing m. So lcm(1..n), lambda(n)
 and the factored lambda(n) all stream from that one walk.
@@ -15,7 +15,7 @@ and the factored lambda(n) all stream from that one walk.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 
 # vp_int and PrimeFactorization answer primality from a sieve below this
 # bound (the sieve then takes 16 MB at most) and by trial division above it.
@@ -132,33 +132,29 @@ def primes_up_to(n: int) -> list[int]:
 def prime_divisors(n: int) -> Iterator[list[int]]:
     """The ascending primes dividing m, for m = 0, 1, ..., n (none for 0 and 1).
 
-    The table of least prime factors, 4 bytes per m, is built at the call;
+    Only the primes up to isqrt(n) are held, each under its next multiple;
     the lists are made one at a time."""
     if n < 0:
         raise ValueError(f"prime_divisors needs n >= 0, got {n}")
-    from array import array
-
-    # least[m] is the least prime factor of a composite m and 0 for a prime.
-    # Each prime p <= isqrt(n) marks its multiples from p * p on, the largest
-    # first, so the least prime dividing m writes last.
-    least = array("I", [0]) * (n + 1)
-    for p in reversed(primes_up_to(math.isqrt(n))):
-        least[p * p :: p] = array("I", [p]) * len(range(p * p, n + 1, p))
-    return _divisor_lists(least)
+    return _divisor_lists(n)
 
 
-def _divisor_lists(least: Sequence[int]) -> Iterator[list[int]]:
-    for m, p in enumerate(least):
-        primes = []
-        while p:
-            primes.append(p)
-            m //= p
-            while m % p == 0:
-                m //= p
-            p = least[m]
-        # What no table entry splits further is 0, 1 or a prime.
-        if m > 1:
-            primes.append(m)
+def _divisor_lists(n: int) -> Iterator[list[int]]:
+    # An incremental sieve (O'Neill, "The Genuine Sieve of Eratosthenes"):
+    # pending[m] holds the primes p <= isqrt(n) whose next multiple is m. A
+    # prime joins the walk at p * p, so once those primes are divided out of m
+    # what is left is 1 or the one prime above isqrt(m), the largest.
+    pending = {p * p: [p] for p in primes_up_to(math.isqrt(n))}
+    for m in range(n + 1):
+        primes = pending.pop(m, [])
+        rest = m
+        for p in primes:
+            pending.setdefault(m + p, []).append(p)
+            while rest % p == 0:
+                rest //= p
+        primes.sort()
+        if rest > 1:
+            primes.append(rest)
         yield primes
 
 

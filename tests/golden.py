@@ -5,6 +5,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from ivpoly.exact_arith import primes_up_to
 from ivpoly.stirling import compositions
 
 # Triangle of the minimal k-th-derivative multipliers c(n, k), rows n = 0..10.
@@ -97,3 +98,26 @@ def eval_int_loop(poly, x):
         if c:
             total += c * binom
     return total
+
+
+def prime_divisors_table(n):
+    """The walk that ``exact_arith.prime_divisors`` replaced: the ascending
+    primes dividing m = 0..n, read off a table of least prime factors."""
+    # least[m] is the least prime factor of a composite m and 0 for a prime.
+    # Each prime p <= isqrt(n) marks its multiples from p * p on, the largest
+    # first, so the least prime dividing m writes last.
+    least = [0] * (n + 1)
+    for p in reversed(primes_up_to(math.isqrt(n))):
+        least[p * p :: p] = [p] * len(range(p * p, n + 1, p))
+    for m, p in enumerate(least):
+        primes = []
+        while p:
+            primes.append(p)
+            m //= p
+            while m % p == 0:
+                m //= p
+            p = least[m]
+        # What no table entry splits further is 0, 1 or a prime.
+        if m > 1:
+            primes.append(m)
+        yield primes

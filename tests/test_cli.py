@@ -320,12 +320,14 @@ def test_unwritable_output_exits_one_with_one_line(args):
     [
         ("lambda --factored --max-n 300000", 24),
         ("lambda --max-n 300000", 24),
-        ("cn --max-n 3000000", 40),
+        ("cn --max-n 3000000", 24),
+        ("cn --max-n 100000000", 24),
     ],
 )
 def test_seq_memory_before_the_first_line(args, budget_mb):
-    # Like `ivpoly seq ... | head -1`. One step list per n took 45, 27 and
-    # 48 MB before the first line; the least-factor table takes 4 bytes per n.
+    # Like `ivpoly seq ... | head -1`. The walk holds only the primes up to
+    # isqrt(N), so the first line costs the same few MB at any N (a table of
+    # N entries took 400 MB at 10**8).
     # Linux counts the forking process's high-water mark into the child's
     # ru_maxrss, so a small wrapper starts the run and reads that child's own
     # usage with os.wait4 (RUSAGE_CHILDREN keeps the largest earlier child).
@@ -349,14 +351,16 @@ def test_seq_memory_before_the_first_line(args, budget_mb):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
 def test_out_of_memory_exits_one_with_one_line():
-    # The least-factor table of 10**8 entries (400 MB) outgrows a 256 MB
-    # address space before the first term; the limit holds in the child only.
+    # table q at 10**8 sieves the primes up to 10**8 (a 100 MB flag array and
+    # a list of 5.8 million primes), which outgrows a 256 MB address space;
+    # the limit holds in the child only. Its rows, if any, go to /dev/null.
     import resource
 
     limit = 256 * 1024 * 1024
     proc = subprocess.run(
-        [sys.executable, "-m", "ivpoly", "seq", "cn", "--max-n", "100000000"],
-        capture_output=True,
+        [sys.executable, "-m", "ivpoly", "table", "q", "--max-n", "100000000"],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         timeout=60,
     )
@@ -382,10 +386,10 @@ def test_table_and_seq_import_only_what_they_run():
     startup = _imported_modules("-c", "pass")
     unused = {
         "ivpoly.verify", "ivpoly.binomial_poly", "ivpoly.stirling", "ivpoly.triangles",
-        "dataclasses", "inspect", "json", "fractions",
+        "dataclasses", "inspect", "json", "fractions", "array",
     }
     for args, also_unused in (
-        (["table", "q", "--max-n", "5", "--format", "csv"], {"decimal", "array"}),
+        (["table", "q", "--max-n", "5", "--format", "csv"], {"decimal"}),
         (["seq", "cn", "--max-n", "5"], {"ivpoly.constants"}),
     ):
         loaded = _imported_modules("-m", "ivpoly", *args)

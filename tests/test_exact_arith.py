@@ -16,6 +16,7 @@ from ivpoly import (
     vp_rat,
 )
 from ivpoly.exact_arith import is_prime, prime_divisors
+from golden import prime_divisors_table
 
 
 @pytest.mark.parametrize(
@@ -129,14 +130,24 @@ def test_prime_divisors_match_trial_division():
 
 
 def test_prime_divisors_at_the_table_edges():
-    # Where the least-factor table can be off by one: around p * p for each
-    # prime p <= 47 (so isqrt(n) is or is not p), at primes and at powers of 2.
+    # Where the walk can be off by one: around p * p for each prime p <= 47,
+    # where p joins the walk (so isqrt(n) is or is not p), at primes and at
+    # powers of 2.
     edges = [*range(5), *primes_up_to(60), *(2**k for k in range(12))]
     for p in primes_up_to(47):
         edges += [p * p - 1, p * p, p * p + 1]
     expected = [_trial_division_primes(m) for m in range(max(edges) + 1)]
     for n in edges:
         assert list(prime_divisors(n)) == expected[: n + 1], n
+
+
+def test_prime_divisors_match_the_least_factor_table():
+    # The walk against the table it replaced: for every n <= 3000 (the primes
+    # it holds depend on isqrt(n)), then in full at n = 100000.
+    expected = list(prime_divisors_table(3000))
+    for n in range(3001):
+        assert list(prime_divisors(n)) == expected[: n + 1], n
+    assert list(prime_divisors(100000)) == list(prime_divisors_table(100000))
 
 
 def test_prime_divisors_edges():
