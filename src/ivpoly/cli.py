@@ -222,6 +222,10 @@ def main(argv: list[str] | None = None) -> int:
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
+    # Out of memory, closing a generator that a failed step left suspended can
+    # raise MemoryError too; Python would print it as unraisable, so it is dropped.
+    hook = sys.unraisablehook
+    sys.unraisablehook = lambda report: issubclass(report.exc_type, MemoryError) or hook(report)
     try:
         code = args.handler(args, parser)
         sys.stdout.flush()
@@ -246,6 +250,7 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return 1
     finally:
+        sys.unraisablehook = hook
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)
 

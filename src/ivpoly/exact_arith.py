@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 
-# vp_int and PrimeFactorization answer primality from a sieve below this
-# bound (the sieve then takes 16 MB at most) and by trial division above it.
+# vp_int, PrimeFactorization and cli._factored_terms (seq lambda --factored) read
+# primality from a sieve below this bound (16 MB at most), by trial division from it up.
 SIEVE_LIMIT = 2**24
 
 

@@ -27,6 +27,7 @@ from .stirling import (
     f_from_partial_sums,
     f_from_subsets,
     f_recurrence,
+    f_rows,
     f_table,
     part_multisets,
 )
@@ -257,16 +258,15 @@ def check_lemma2(max_a: int = 10_000, enum_cap: int | None = None) -> CheckRepor
 
 
 def check_lemma3(max_n: int = 30, enum_cap: int | None = None) -> CheckReport:
-    """The p-adic valuation of F(k*p, k) is exactly -k."""
-    f = f_table(max_n)
+    """vp(F(k*p, k)) = -k, read from each row n that p divides; no row is kept."""
     name, tested = "lemma3", f"k*p <= {max_n}, p in {LEMMA3_PRIMES}"
-    for p in LEMMA3_PRIMES:
-        k = 1
-        while k * p <= max_n:
-            valuation = vp_rat(f[k * p, k], p)
-            if valuation != -k:
-                return _fail(name, tested, f"k={k}, p={p}", f"vp={valuation}", f"expected={-k}")
-            k += 1
+    for n, row in enumerate(f_rows(max_n)):
+        for p in LEMMA3_PRIMES:
+            k = n // p
+            if k and n % p == 0:
+                valuation = vp_rat(row[k], p)
+                if valuation != -k:
+                    return _fail(name, tested, f"k={k}, p={p}", f"vp={valuation}", f"expected={-k}")
     return CheckReport(name, tested, True)
 
 

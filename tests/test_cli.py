@@ -314,6 +314,28 @@ def test_unwritable_output_exits_one_with_one_line(args):
     assert line.startswith("ivpoly: error: cannot write the output: ")
 
 
+def _first_line_and_peak_rss(*argv):
+    """(first stdout line, exit code, stderr, peak RSS in KiB) of one
+    `python -m ivpoly` run whose stdout is closed after its first line.
+
+    Linux counts the forking process's high-water mark into the child's
+    ru_maxrss, so a small wrapper starts the run and reads that child's own
+    usage with os.wait4 (RUSAGE_CHILDREN keeps the largest earlier child).
+    """
+    wrapper = (
+        "import os, subprocess, sys\n"
+        "argv = [sys.executable, '-m', 'ivpoly', *sys.argv[1:]]\n"
+        "proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)\n"
+        "line = proc.stdout.readline()\n"
+        "proc.stdout.close()\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+        "print(repr((line, proc.returncode, proc.stderr.read(), usage.ru_maxrss)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", wrapper, *argv], capture_output=True, check=True)
+    return ast.literal_eval(proc.stdout.decode())
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
 @pytest.mark.parametrize(
     "args, budget_mb",
@@ -328,25 +350,17 @@ def test_seq_memory_before_the_first_line(args, budget_mb):
     # Like `ivpoly seq ... | head -1`. The walk holds only the primes up to
     # isqrt(N), so the first line costs the same few MB at any N (a table of
     # N entries took 400 MB at 10**8).
-    # Linux counts the forking process's high-water mark into the child's
-    # ru_maxrss, so a small wrapper starts the run and reads that child's own
-    # usage with os.wait4 (RUSAGE_CHILDREN keeps the largest earlier child).
-    wrapper = (
-        "import os, subprocess, sys\n"
-        "argv = [sys.executable, '-m', 'ivpoly', 'seq', *sys.argv[1:]]\n"
-        "proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)\n"
-        "line = proc.stdout.readline()\n"
-        "proc.stdout.close()\n"
-        "_, status, usage = os.wait4(proc.pid, 0)\n"
-        "proc.returncode = os.waitstatus_to_exitcode(status)\n"
-        "print(repr((line, proc.returncode, proc.stderr.read(), usage.ru_maxrss)))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", wrapper, *args.split()], capture_output=True, check=True
-    )
-    line, code, err, maxrss_kib = ast.literal_eval(proc.stdout.decode())
+    line, code, err, maxrss_kib = _first_line_and_peak_rss("seq", *args.split())
     assert (line, code, err) == (b"1\n", 1, b"")
     assert maxrss_kib < budget_mb * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+def test_verify_lemma3_memory_does_not_grow_with_the_triangle():
+    # lemma3 reads one F row at a time; the whole triangle took 39 MB at 400.
+    line, code, err, maxrss_kib = _first_line_and_peak_rss("verify", "lemma3", "--max-n", "400")
+    assert (line, code, err) == (b"lemma3: pass [k*p <= 400, p in (2, 3, 5)]\n", 0, b"")
+    assert maxrss_kib < 24 * 1024
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
@@ -367,6 +381,28 @@ def test_out_of_memory_exits_one_with_one_line():
     assert proc.returncode == 1
     assert b"Traceback" not in proc.stderr
     assert proc.stderr.decode().splitlines() == ["ivpoly: error: out of memory"]
+
+
+def test_out_of_memory_in_a_generator_close_stays_one_line(capsys, monkeypatch):
+    # Out of memory, a suspended generator can fail in its own close, which
+    # Python reports through sys.unraisablehook; its default prints a block.
+    def handler(args, parser):
+        def rows():
+            try:
+                yield []
+            finally:
+                raise MemoryError
+
+        suspended = rows()
+        next(suspended)
+        del suspended
+        raise MemoryError
+
+    monkeypatch.setattr(sys, "unraisablehook", sys.__unraisablehook__)
+    monkeypatch.setattr(cli, "cmd_seq", handler)
+    assert cli.main(["seq", "cn"]) == 1
+    assert capsys.readouterr().err == "ivpoly: error: out of memory\n"
+    assert sys.unraisablehook is sys.__unraisablehook__
 
 
 def _imported_modules(*args):

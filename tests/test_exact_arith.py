@@ -228,6 +228,17 @@ class TestPrimeFactorization:
             else:
                 assert is_prime(p), p
 
+    def test_primes_from_the_sieve_limit_up_are_trial_divided(self, monkeypatch):
+        # From an empty cache: a sieve past 2**24 would take 16 MB or more.
+        monkeypatch.setattr(exact_arith, "_PRIME_FLAGS", bytearray())
+        p = 16777259  # the least prime above SIEVE_LIMIT = 2**24
+        assert vp_int(3 * p**2, p) == 2
+        PrimeFactorization(((p, 1),))
+        for composite in (2**24, 2**24 + 1):  # 2**24 + 1 = 97 * 257 * 673
+            with pytest.raises(ValueError, match=f"expected a prime, got {composite}"):
+                vp_int(5, composite)
+        assert len(exact_arith._PRIME_FLAGS) < exact_arith.SIEVE_LIMIT
+
 
 @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6))
 def test_lcm_gcd_identity(a, b):

@@ -182,10 +182,19 @@ class TestChecksCanFail:
 
     def test_lemma3(self, monkeypatch, small_tables):
         f, _, _ = small_tables
-        monkeypatch.setattr(verify, "f_table", lambda max_n: _with_entry(f, 4, 2, Fraction(11, 13)))
+        faulty = _with_entry(f, 4, 2, Fraction(11, 13))
+        monkeypatch.setattr(verify, "f_rows", lambda max_n: iter(faulty.rows))
         report = verify.check_lemma3(8)
         assert not report.passed
         assert "k=2, p=2" in report.counterexample.params
+
+    def test_lemma3_reports_the_first_failing_row(self, monkeypatch, small_tables):
+        # F(6, 2) is read for p = 3 in row 6, F(8, 4) for p = 2 in row 8.
+        f, _, _ = small_tables
+        faulty = _with_entry(_with_entry(f, 6, 2, Fraction(11, 13)), 8, 4, Fraction(11, 13))
+        monkeypatch.setattr(verify, "f_rows", lambda max_n: iter(faulty.rows))
+        report = verify.check_lemma3(8)
+        assert str(report.counterexample) == "k=2, p=3: vp=0 vs expected=-2"
 
     def test_corollary1(self, monkeypatch):
         monkeypatch.setattr(verify, "lcm_range", lambda n: 1)
@@ -205,6 +214,29 @@ class TestChecksCanFail:
         report = verify.check_proposition2(8)
         assert not report.passed
         assert "n=4, k=2" in report.counterexample.params
+
+
+@pytest.mark.parametrize(
+    "name, fault, check, counterexample",
+    [
+        ("q_table", lambda tables: lambda max_n: _with_entry(tables[2], 4, 2, 7),
+         lambda: verify.check_theorem2(0, 6), "n=4, k=2: c=12 vs q=7 not a multiple"),
+        ("c_table", lambda tables: lambda d: _with_entry(tables[1], 4, 2, 1),
+         lambda: verify.check_theorem3(0, 6), "parts=(1, 3): den=3 vs k!*c=2 not a multiple"),
+        ("c_table", lambda tables: lambda d: _with_entry(tables[1], 4, 2, 7),
+         lambda: verify.check_theorem4(0, 6), "n=4: oracle lcm=12 vs lcm(c row)=84"),
+        ("f_table", lambda tables: lambda max_n: _with_entry(tables[0], 1, 1, 0),
+         lambda: verify.check_lemma1(2), "n=1, k=0: slope=0 vs expected nonzero"),
+    ],
+    ids=["theorem2-divisibility", "theorem3-witness-bound", "theorem4-oracle-lcm", "lemma1-slope"],
+)
+def test_other_failure_branches(name, fault, check, counterexample, monkeypatch, small_tables):
+    # The failure branches TestChecksCanFail does not reach; a range of 0
+    # leaves out the part of a check that would fail first.
+    monkeypatch.setattr(verify, name, fault(small_tables))
+    report = check()
+    assert not report.passed
+    assert str(report.counterexample) == counterexample
 
 
 @pytest.mark.parametrize(
