@@ -94,13 +94,15 @@ class BinomialPoly(_Poly):
             raise ValueError(
                 f"coefficient table covers rows up to {table.max_n}, need {deg}"
             )
+        signed = [table[m, k] if (m - k) % 2 == 0 else -table[m, k] for m in range(k, deg + 1)]
         acc = [0] * (deg - k + 1)
-        for m in range(k, deg + 1):
-            factor = table[m, k] if (m - k) % 2 == 0 else -table[m, k]
-            if factor == 0:
-                continue
-            for j in range(deg - m + 1):
-                acc[j] += factor * self.coeffs[j + m]
+        # Coefficient i of P reaches slot i - m of the m-th difference; only
+        # nonzero ones are multiplied, so C(X, n) costs O(n) products.
+        for i, c in enumerate(self.coeffs[k:], start=k):
+            if c:
+                for m, factor in enumerate(signed[: i - k + 1], start=k):
+                    if factor:
+                        acc[i - m] += factor * c
         return BinomialPoly(acc)
 
     def eval_int(self, x: int) -> Fraction | int:

@@ -132,10 +132,13 @@ def _running_products(steps: Iterable[int]) -> Iterator[str]:
 
     context = Context(prec=MAX_PREC, Emax=MAX_EMAX)
     context.traps[Inexact] = context.traps[Rounded] = True
-    term = Decimal(1)
+    term, text = Decimal(1), "1"
     for step in steps:
-        term = context.multiply(term, step)
-        yield str(term)
+        # A step of 1 repeats the term, so its text is reused, not remade.
+        if step != 1:
+            term = context.multiply(term, step)
+            text = str(term)
+        yield text
 
 
 def _factored_terms(divisors: Iterable[Iterable[int]]) -> Iterator[str]:

@@ -1,13 +1,13 @@
 """Brute-force oracles and one named check per identity the tables rest on.
 
 Every check recomputes its claim through an independent route (enumeration,
-interpolation, or the monomial power rule) and reports the first
-counterexample on failure, so a run doubles as a certificate at the
-ranges it was given. Each check declares its default ranges in its own
-signature, builds the tables it reads, and takes ``enum_cap``, which the
-capped ones pass to _cap before any other work. run_check sets every range
-of a check to one max_n. Nothing here is randomized, hence two runs with
-the same arguments produce identical reports.
+interpolation, or the monomial power rule) and reports the first counterexample
+on failure, so a run doubles as a certificate at the ranges it was given;
+lemma3 certifies the Stirling quotient k!/n! * |s(n, k)|, not ``f_table``. Each
+check declares its default ranges in its own signature, builds the tables it
+reads, and takes ``enum_cap``, which the capped ones pass to _cap before any
+other work. run_check sets every range of a check to one max_n. Nothing here is
+randomized, hence two runs with the same arguments produce identical reports.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import CHECK_NAMES
 from .binomial_poly import MonomialPoly, basis, falling_factorials, from_values
 from .constants import DEFAULT_Q_ENUM_CAP, c_table, lambda_product, q_direct, q_recurrence, q_table
-from .exact_arith import EnumerationCapError, _Record, lcm_list, lcm_range, vp_int, vp_rat
+from .exact_arith import EnumerationCapError, _Record, lcm_list, lcm_range, vp_int
 from .stirling import (
     DEFAULT_ENUM_CAP,
     d_table,
@@ -27,9 +27,9 @@ from .stirling import (
     f_from_partial_sums,
     f_from_subsets,
     f_recurrence,
-    f_rows,
     f_table,
     part_multisets,
+    stirling_rows,
 )
 
 # The oracle differentiates every basis polynomial up to degree n in the
@@ -258,15 +258,15 @@ def check_lemma2(max_a: int = 10_000, enum_cap: int | None = None) -> CheckRepor
 
 
 def check_lemma3(max_n: int = 30, enum_cap: int | None = None) -> CheckReport:
-    """vp(F(k*p, k)) = -k, read from each row n that p divides; no row is kept."""
+    """vp(F(k*p, k)) = -k: as F(n, k) = |s(n, k)| * k!/n! and vp((k*p)!/k!) = k
+    (Legendre), that is p not dividing s(k*p, k), read one Stirling row at a time."""
     name, tested = "lemma3", f"k*p <= {max_n}, p in {LEMMA3_PRIMES}"
-    for n, row in enumerate(f_rows(max_n)):
+    for n, row in enumerate(stirling_rows(max_n)):
         for p in LEMMA3_PRIMES:
             k = n // p
-            if k and n % p == 0:
-                valuation = vp_rat(row[k], p)
-                if valuation != -k:
-                    return _fail(name, tested, f"k={k}, p={p}", f"vp={valuation}", f"expected={-k}")
+            if k and n % p == 0 and row[k] % p == 0:
+                valuation = vp_int(abs(row[k]), p) - k if row[k] else math.inf
+                return _fail(name, tested, f"k={k}, p={p}", f"vp={valuation}", f"expected={-k}")
     return CheckReport(name, tested, True)
 
 

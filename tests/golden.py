@@ -5,8 +5,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from ivpoly.exact_arith import primes_up_to
-from ivpoly.stirling import compositions
+from ivpoly.binomial_poly import BinomialPoly
+from ivpoly.exact_arith import primes_up_to, vp_rat
+from ivpoly.stirling import compositions, f_rows
 
 # Triangle of the minimal k-th-derivative multipliers c(n, k), rows n = 0..10.
 GOLDEN_C = [
@@ -121,3 +122,44 @@ def prime_divisors_table(n):
         if m > 1:
             primes.append(m)
         yield primes
+
+
+def lemma3_valuations_from_f(max_n, primes):
+    """The route ``verify.check_lemma3`` replaced: vp(F(k*p, k)) of the reduced
+    Fraction in each F row, as {(k, p): valuation} for 1 <= k*p <= max_n."""
+    out = {}
+    for n, row in enumerate(f_rows(max_n)):
+        for p in primes:
+            k = n // p
+            if k and n % p == 0:
+                out[k, p] = vp_rat(row[k], p)
+    return out
+
+
+def derivative_every_coefficient(poly, k, table):
+    """The loop that ``BinomialPoly.derivative`` replaced: one product per
+    coefficient of each difference, zero coefficients included."""
+    deg = poly.degree
+    if deg is None or k > deg:
+        return BinomialPoly()
+    acc = [0] * (deg - k + 1)
+    for m in range(k, deg + 1):
+        factor = table[m, k] if (m - k) % 2 == 0 else -table[m, k]
+        if factor == 0:
+            continue
+        for j in range(deg - m + 1):
+            acc[j] += factor * poly.coeffs[j + m]
+    return BinomialPoly(acc)
+
+
+def running_products_every_step(steps):
+    """The generator that ``cli._running_products`` replaced: one decimal text
+    per step, a step of 1 included."""
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
+
+    context = Context(prec=MAX_PREC, Emax=MAX_EMAX)
+    context.traps[Inexact] = context.traps[Rounded] = True
+    term = Decimal(1)
+    for step in steps:
+        term = context.multiply(term, step)
+        yield str(term)

@@ -15,7 +15,7 @@ from ivpoly import (
     stirling_first,
 )
 from ivpoly.binomial_poly import falling_factorials
-from golden import eval_int_loop
+from golden import derivative_every_coefficient, eval_int_loop
 
 F12 = f_table(12)
 
@@ -71,6 +71,24 @@ def test_derivative_of_basis_at_zero_is_alternating_reciprocal():
 def test_derivative_order_zero_is_identity():
     p = BinomialPoly([Fraction(3, 7), -2, Fraction(5, 3)])
     assert p.derivative(0, F12) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(0, 12),
+        st.one_of(st.integers(-9, 9), st.fractions(max_denominator=7)).filter(bool),
+        max_size=3,
+    ),
+    st.integers(0, 13),
+)
+def test_derivative_matches_the_every_coefficient_loop(entries, k):
+    # Sparse polynomials, where skipping the zero coefficients saves the most.
+    coeffs = [entries.get(i, 0) for i in range(max(entries, default=-1) + 1)]
+    poly = BinomialPoly(coeffs)
+    got, expected = poly.derivative(k, F12), derivative_every_coefficient(poly, k, F12)
+    assert got == expected
+    assert [type(c) for c in got.coeffs if c] == [type(c) for c in expected.coeffs if c]
 
 
 def test_derivative_beyond_degree_is_zero():

@@ -28,7 +28,7 @@ from ivpoly import (
 )
 from ivpoly.exact_arith import prime_divisors
 from ivpoly.verify import CHECK_NAMES, CheckReport, Counterexample
-from golden import GOLDEN_C, GOLDEN_LAMBDA, GOLDEN_Q
+from golden import GOLDEN_C, GOLDEN_LAMBDA, GOLDEN_Q, running_products_every_step
 
 
 def run_cli(capsys, *argv):
@@ -271,6 +271,28 @@ def test_seq_runs_in_linear_time(kind, max_n, budget_s, oracle):
     assert (last if isinstance(expected, str) else Decimal(last)) == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.lists(st.just(1), max_size=40), st.lists(st.integers(1, 10**6), max_size=3)),
+        max_size=8,
+    ).map(lambda runs: [step for run in runs for step in run])
+)
+def test_running_products_match_the_every_step_generator(steps):
+    # Step lists with long runs of 1, where the repeated text is reused.
+    assert list(cli._running_products(steps)) == list(running_products_every_step(steps))
+
+
+def test_seq_cn_at_100000_runs_in_seconds():
+    # Remaking the text of every term took 5.4 s; lcm(1..n) steps only at
+    # the 9,700 prime powers up to 100000, and each other term repeats a text.
+    argv = [sys.executable, "-m", "ivpoly", "seq", "cn", "--max-n", "100000"]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    assert time.perf_counter() - start < 2.5
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def test_proposition1_at_twenty_runs_in_seconds():
     # One Fraction per composition and per subset took over 10 s at 20; the
     # integer partition and subset sums take about 0.5 s.
@@ -357,7 +379,7 @@ def test_seq_memory_before_the_first_line(args, budget_mb):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
 def test_verify_lemma3_memory_does_not_grow_with_the_triangle():
-    # lemma3 reads one F row at a time; the whole triangle took 39 MB at 400.
+    # lemma3 reads one Stirling row at a time; the whole F triangle took 39 MB at 400.
     line, code, err, maxrss_kib = _first_line_and_peak_rss("verify", "lemma3", "--max-n", "400")
     assert (line, code, err) == (b"lemma3: pass [k*p <= 400, p in (2, 3, 5)]\n", 0, b"")
     assert maxrss_kib < 24 * 1024

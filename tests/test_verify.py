@@ -1,6 +1,7 @@
 import functools
 import inspect
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,10 @@ from ivpoly import (
     run_all,
     run_check,
 )
-from ivpoly.stirling import part_multisets
+from ivpoly.exact_arith import vp_int
+from ivpoly.stirling import part_multisets, stirling_rows
 from ivpoly.verify import CHECK_NAMES, CheckReport
+from golden import lemma3_valuations_from_f
 
 # The exact stdout of `ivpoly verify all` at the default ranges.
 GOLDEN_VERIFY_ALL = """\
@@ -46,6 +49,14 @@ def _with_entry(triangle, n, k, value):
     if isinstance(triangle, IntegerTriangle):
         return IntegerTriangle(rows)
     return RationalTriangle(rows)
+
+
+def _stirling_rows_with(*entries):
+    """stirling_rows with each (n, k, value) entry replaced (fault injection)."""
+    rows = [list(row) for row in stirling_rows(8)]
+    for n, k, value in entries:
+        rows[n][k] = value
+    return lambda max_n: iter(rows[: max_n + 1])
 
 
 @pytest.fixture(scope="module")
@@ -180,21 +191,24 @@ class TestChecksCanFail:
         assert not report.passed
         assert report.counterexample.params == "a=1, p=2"
 
-    def test_lemma3(self, monkeypatch, small_tables):
-        f, _, _ = small_tables
-        faulty = _with_entry(f, 4, 2, Fraction(11, 13))
-        monkeypatch.setattr(verify, "f_rows", lambda max_n: iter(faulty.rows))
+    def test_lemma3(self, monkeypatch):
+        # s(4, 2) = 11 is odd; 12 has vp_2 = 2, so vp_2(F(4, 2)) reads 2 - 2 = 0.
+        monkeypatch.setattr(verify, "stirling_rows", _stirling_rows_with((4, 2, 12)))
         report = verify.check_lemma3(8)
         assert not report.passed
         assert "k=2, p=2" in report.counterexample.params
 
-    def test_lemma3_reports_the_first_failing_row(self, monkeypatch, small_tables):
-        # F(6, 2) is read for p = 3 in row 6, F(8, 4) for p = 2 in row 8.
-        f, _, _ = small_tables
-        faulty = _with_entry(_with_entry(f, 6, 2, Fraction(11, 13)), 8, 4, Fraction(11, 13))
-        monkeypatch.setattr(verify, "f_rows", lambda max_n: iter(faulty.rows))
+    def test_lemma3_reports_the_first_failing_row(self, monkeypatch):
+        # s(6, 2) is read for p = 3 in row 6, s(8, 4) for p = 2 in row 8.
+        monkeypatch.setattr(verify, "stirling_rows", _stirling_rows_with((6, 2, 9), (8, 4, 16)))
         report = verify.check_lemma3(8)
         assert str(report.counterexample) == "k=2, p=3: vp=0 vs expected=-2"
+
+    def test_lemma3_reports_a_zero_entry(self, monkeypatch):
+        # Every prime divides 0, whose valuation is infinite: a report, not a raise.
+        monkeypatch.setattr(verify, "stirling_rows", _stirling_rows_with((4, 2, 0)))
+        report = verify.check_lemma3(8)
+        assert str(report.counterexample) == "k=2, p=2: vp=inf vs expected=-2"
 
     def test_corollary1(self, monkeypatch):
         monkeypatch.setattr(verify, "lcm_range", lambda n: 1)
@@ -270,6 +284,26 @@ def test_proposition2_names_a_recurrence_mismatch(monkeypatch, small_tables):
     report = verify.check_proposition2(8)
     assert not report.passed
     assert str(report.counterexample) == "n=5, k=3: table=12 vs recurrence=7"
+
+
+def test_lemma3_stirling_valuation_matches_the_f_route():
+    # vp((k*p)!/k!) = k (Legendre), so vp of the reduced F(k*p, k) is vp(s(k*p, k)) - k.
+    rows = list(stirling_rows(200))
+    expected = lemma3_valuations_from_f(200, verify.LEMMA3_PRIMES)
+    got = {
+        (k, p): vp_int(abs(rows[k * p][k]), p) - k
+        for p in verify.LEMMA3_PRIMES
+        for k in range(1, 200 // p + 1)
+    }
+    assert got == expected
+
+
+def test_lemma3_at_600_runs_in_well_under_a_second():
+    # Reducing every F entry took 3.9 s at 600; the Stirling rows take about 0.06 s.
+    start = time.perf_counter()
+    report = verify.check_lemma3(600)
+    assert time.perf_counter() - start < 0.5
+    assert report.passed
 
 
 def test_reports_are_deterministic():
