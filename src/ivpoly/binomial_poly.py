@@ -108,14 +108,16 @@ class BinomialPoly(_Poly):
     def eval_int(self, x: int) -> Fraction | int:
         """Exact value at an integer (negative allowed), via C(x, j) products.
 
-        The terms are summed as ints over the lcm of the coefficient
-        denominators and divided once; the value is an int when every nonzero
-        coefficient is one, as the sum of the terms themselves would be.
+        For x >= 0 the sum stops at j = x, as C(x, j) = 0 for j > x. The terms
+        are summed as ints over the lcm of their coefficients' denominators and
+        divided once; the value is an int when every nonzero coefficient is
+        one, as the sum of all the terms themselves would be.
         """
-        scale = math.lcm(*(c.denominator for c in self.coeffs))
+        coeffs = self.coeffs if x < 0 else self.coeffs[: x + 1]
+        scale = math.lcm(*(c.denominator for c in coeffs))
         total = 0
         binom = 1  # C(x, 0)
-        for j, c in enumerate(self.coeffs):
+        for j, c in enumerate(coeffs):
             if j > 0:
                 # exact: C(x, j-1) * (x - j + 1) is divisible by j
                 binom = binom * (x - j + 1) // j

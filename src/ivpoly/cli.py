@@ -79,32 +79,31 @@ def _write_joined(head: str, items: Iterable[str], separator: str, tail: str) ->
     write(tail)
 
 
-def _table_rows(kind: str, max_n: int) -> Iterator[list]:
-    """The rows of one table kind, each made from the row above: F from the
-    Stirling row, d from F and c from d, while q has its own closed form.
-    Only the modules a kind reads are imported; `table q` loads neither
-    stirling nor fractions."""
-    if kind == "q":
-        from .constants import q_rows
-
-        return q_rows(max_n)
-    from .stirling import d_rows, f_rows, stirling_rows
-
-    if kind == "stirling":
-        return stirling_rows(max_n)
+def _table_rows(kind: str, max_n: int) -> Iterator[list[str]]:
+    """The rows of one table kind as text cells, each row made in ints from
+    the row above: stirling by its recurrence, F and d from the Stirling row
+    by one gcd per entry (``stirling.quotient_rows``), c from the Stirling row
+    and the c row above by one small gcd per entry (``constants.c_rows``),
+    and q from its closed form. No kind builds a Fraction. Only the modules a
+    kind reads are imported; `table q` loads neither stirling nor fractions."""
     if kind == "F":
-        return f_rows(max_n)
-    if kind == "d":
-        return d_rows(f_rows(max_n))
-    from .constants import c_rows
+        from .stirling import quotient_rows
 
-    return c_rows(d_rows(f_rows(max_n)))
+        return ([f"{a // g}/{b // g}" for a, b, g in row] for row in quotient_rows(max_n))
+    if kind in ("c", "q"):
+        from .constants import c_rows, q_rows
+
+        rows = c_rows if kind == "c" else q_rows
+    else:
+        from .stirling import d_rows, stirling_rows
+
+        rows = d_rows if kind == "d" else stirling_rows
+    return ([*map(str, row)] for row in rows(max_n))
 
 
 def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     kind, max_n = args.kind, args.max_n
-    cell = (lambda v: f"{v.numerator}/{v.denominator}") if kind == "F" else str
-    rows = ([*map(cell, row)] for row in _table_rows(kind, max_n))
+    rows = _table_rows(kind, max_n)
     if args.format == "json":
         import json
 

@@ -9,15 +9,19 @@ prod over primes p of p**(n // p). ``lambda_product`` computes one lambda(n)
 and stays the oracle of the sequences that ``ivpoly seq lambda`` streams.
 ``q_table`` builds q from a closed form of its p-adic valuations, and
 ``q_recurrence`` (the lcm recurrence) and ``q_direct`` (enumeration) stay as
-its oracles. The row generators read only exact_arith; the triangle class and
-the brute-force walker are imported where they are used, so streaming q loads
-neither stirling nor fractions.
+its oracles. `table q` reads ``q_rows`` and `table c` reads ``c_rows``, which
+steps each c column down the Stirling rows by one small gcd per entry;
+``c_table``, the lcm fold of the d-table, stays its oracle and is what verify
+reads. The Stirling rows, the triangle class and the brute-force walker are
+imported where they are used, so streaming q loads neither stirling nor
+fractions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator
 
 from .exact_arith import EnumerationCapError, PrimeFactorization, lcm_list, primes_up_to
 
@@ -26,21 +30,44 @@ from .exact_arith import EnumerationCapError, PrimeFactorization, lcm_list, prim
 DEFAULT_Q_ENUM_CAP = 18
 
 
-def c_rows(d_rows: Iterable[Sequence[int]]) -> Iterator[list[int]]:
-    """The rows of c from the rows of d: each column keeps its running lcm,
-    and the diagonal entry c(n, n) = d(n, n) opens it."""
+def c_rows(max_n: int) -> Iterator[list[int]]:
+    """Rows 0..max_n of c, row n from Stirling row n and c row n - 1.
+
+    Every d(m, k) divides m!/k!, so c(n - 1, k) divides N = n!/k!. Prime by
+    prime, max(v_p(c(n - 1, k)), v_p(d(n, k))) is then the valuation of
+
+        c(n, k) = c(n - 1, k) * M / g,  g = gcd(s(n, k) mod M, M),
+
+    with M = N / c(n - 1, k). The step leaves c(n, k) = N / g, so column k
+    keeps g = (n!/k!) / c(n, k), which opens at 1 as c(k, k) = 1, and the
+    next row's M is n + 1 times it. So no step reads N, and each gcd is on
+    M, a few hundred bits at n = 240, where d(n, k) takes one on all of N.
+    """
+    from .stirling import stirling_rows
+
     row: list[int] = []
-    for d in d_rows:
-        row = [*map(math.lcm, row, d), d[-1]]
+    left: list[int] = []  # (n!/k!) / c(n, k) along the row last yielded
+    for n, stirling_row in enumerate(stirling_rows(max_n)):
+        row = row[:]
+        for k in range(n):
+            m = n * left[k]
+            left[k] = g = math.gcd(stirling_row[k] % m, m)
+            if g != m:
+                row[k] *= m // g
+        row.append(1)
+        left.append(1)
         yield row
 
 
 def c_table(d: IntegerTriangle) -> IntegerTriangle:
     """Column-wise lcm folds of the d-table, row for row: entry (n, k) is
-    lcm of d(m, k) for k <= m <= n."""
+    lcm of d(m, k) for k <= m <= n, and c(n, n) = d(n, n) opens column n.
+    The oracle for ``c_rows``, which `table c` reads."""
     from .triangles import IntegerTriangle
 
-    return IntegerTriangle(c_rows(d.rows))
+    return IntegerTriangle(
+        itertools.accumulate(d.rows, lambda row, d_row: [*map(math.lcm, row, d_row), d_row[-1]])
+    )
 
 
 def q_rows(max_n: int) -> Iterator[list[int]]:

@@ -8,8 +8,12 @@ a partial-sum recurrence, and the two-term recurrence
 F(n+1, k) = k/(n+1) * F(n, k-1) + n/(n+1) * F(n, k)) recompute the entries
 so that each can serve as an oracle for the others. The denominators of F
 form the d-table that the headline constants are folded from.
-``compositions`` has no caller here: it is kept as the test oracle of the
-partition walk and for the benchmark tracer, which wraps it.
+`table stirling` reads ``stirling_rows``; `table F` and `table d` read
+``quotient_rows`` (F as text, d through ``d_rows``), one gcd per entry in
+ints, while ``f_rows``, ``f_table`` and ``d_table`` stay the Fraction routes
+that verify reads. ``compositions`` has no caller here: it is kept as the
+test oracle of the partition walk and for the benchmark tracer, which wraps
+it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .exact_arith import EnumerationCapError
@@ -182,11 +186,27 @@ def f_from_partial_sums(n: int, k: int, table: RationalTriangle) -> Fraction:
     )
 
 
-def d_rows(rows: Iterable[Iterable[Fraction]]) -> Iterator[list[int]]:
-    """The denominators of the F rows, row by row."""
-    return ([entry.denominator for entry in row] for row in rows)
+def quotient_rows(max_n: int) -> Iterator[list[tuple[int, int, int]]]:
+    """Rows 0..max_n of the triples (a, b, g) = (|s(n, k)|, n!/k!, gcd(a, b)),
+    with n!/k! built as k walks down from n: F(n, k) in lowest terms is
+    (a // g)/(b // g) and d(n, k) = b // g, so `table F` and `table d` build
+    no Fraction."""
+    for n, stirling_row in enumerate(stirling_rows(max_n)):
+        row, falling = [], 1
+        for k in range(n, -1, -1):
+            a = abs(stirling_row[k])
+            row.append((a, falling, math.gcd(a, falling)))
+            falling *= k
+        row.reverse()
+        yield row
+
+
+def d_rows(max_n: int) -> Iterator[list[int]]:
+    """Rows 0..max_n of d in ints: d(n, k) = (n!/k!) // gcd(s(n, k), n!/k!)."""
+    return ([falling // g for _, falling, g in row] for row in quotient_rows(max_n))
 
 
 def d_table(f: RationalTriangle) -> IntegerTriangle:
-    """Elementwise denominators of the F triangle (den of 0 and 1 is 1)."""
-    return IntegerTriangle(d_rows(f.rows))
+    """Elementwise denominators of the F triangle (den of 0 and 1 is 1): the
+    oracle for ``d_rows``, which `table d` reads."""
+    return IntegerTriangle([entry.denominator for entry in row] for row in f.rows)

@@ -101,6 +101,23 @@ def eval_int_loop(poly, x):
     return total
 
 
+def eval_int_every_term(poly, x):
+    """The loop that ``BinomialPoly.eval_int`` replaced: every coefficient's
+    term summed over the lcm of all the denominators, though C(x, j) = 0 for
+    0 <= x < j."""
+    scale = math.lcm(*(c.denominator for c in poly.coeffs))
+    total = 0
+    binom = 1  # C(x, 0)
+    for j, c in enumerate(poly.coeffs):
+        if j > 0:
+            binom = binom * (x - j + 1) // j
+        if c:
+            total += c.numerator * (scale // c.denominator) * binom
+    if all(isinstance(c, int) for c in poly.coeffs if c):
+        return total
+    return Fraction(total, scale)
+
+
 def prime_divisors_table(n):
     """The walk that ``exact_arith.prime_divisors`` replaced: the ascending
     primes dividing m = 0..n, read off a table of least prime factors."""

@@ -15,7 +15,7 @@ from ivpoly import (
     stirling_first,
 )
 from ivpoly.binomial_poly import falling_factorials
-from golden import derivative_every_coefficient, eval_int_loop
+from golden import derivative_every_coefficient, eval_int_every_term, eval_int_loop
 
 F12 = f_table(12)
 
@@ -132,6 +132,26 @@ def test_eval_int_keeps_the_type_of_the_term_sum():
             assert value == expected and type(value) is type(expected), (poly, x)
     assert type(BinomialPoly([1, 2]).eval_int(-3)) is int
     assert type(BinomialPoly([1, Fraction(2)]).eval_int(-3)) is Fraction
+
+
+sparse_coefficients = st.dictionaries(
+    st.integers(0, 60),
+    st.one_of(
+        st.integers(-50, 50), st.fractions(max_denominator=30), st.sampled_from([0, Fraction(0)])
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_coefficients, st.sampled_from([0, Fraction(0)]), st.integers(-10, 40))
+def test_eval_int_stopping_at_x_matches_every_term(terms, gap, x):
+    # Sparse coefficients out past x, the gaps an int or a Fraction zero: the
+    # sum that stops at j = x has the value and type of the one over every term.
+    coeffs = [terms.get(j, gap) for j in range(max(terms, default=-1) + 1)]
+    poly = BinomialPoly(coeffs)
+    value, expected = poly.eval_int(x), eval_int_every_term(poly, x)
+    assert value == expected and type(value) is type(expected)
 
 
 def test_is_integer_valued():

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import functools
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ivpoly.cli as cli
@@ -26,7 +27,9 @@ from ivpoly import (
     q_table,
     stirling_first,
 )
+from ivpoly.constants import c_rows
 from ivpoly.exact_arith import prime_divisors
+from ivpoly.stirling import d_rows
 from ivpoly.verify import CHECK_NAMES, CheckReport, Counterexample
 from golden import GOLDEN_C, GOLDEN_LAMBDA, GOLDEN_Q, running_products_every_step
 
@@ -157,6 +160,30 @@ def test_table_d_and_stirling_kinds(capsys):
     assert out.splitlines()[5] == "4,1,4,12,2,1"
     _, out = run_cli(capsys, "table", "stirling", "--max-n", "4", "--format", "csv")
     assert out.splitlines()[5] == "4,0,-6,11,-6,1"
+
+
+@functools.cache
+def _fraction_route_to_200():
+    f = f_table(200)
+    d = d_table(f)
+    return f, d, c_table(d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 200))
+@example(0)
+@example(1)
+@example(2)
+@example(200)
+def test_integer_rows_match_the_fraction_route(n):
+    # `table F|d|c` read ints off the Stirling rows; the Fraction route that
+    # verify reads is their oracle, whole rows from k = 0 to k = n. Rows do
+    # not depend on max_n, so the oracle is built once, up to 200.
+    f, d, c = _fraction_route_to_200()
+    assert list(c_rows(n)) == [list(row) for row in c.rows[: n + 1]]
+    assert list(d_rows(n)) == [list(row) for row in d.rows[: n + 1]]
+    texts = [[f"{v.numerator}/{v.denominator}" for v in row] for row in f.rows[: n + 1]]
+    assert list(cli._table_rows("F", n)) == texts
 
 
 def test_seq_lambda_matches_golden(capsys):

@@ -21,6 +21,7 @@ from ivpoly import (
     q_table,
     vp_int,
 )
+from ivpoly.constants import c_rows
 from golden import GOLDEN_C, GOLDEN_LAMBDA, GOLDEN_Q, compositions_recursive
 
 
@@ -41,6 +42,15 @@ def test_c_is_the_column_lcm_of_d():
     for n in range(81):
         for k in range(n + 1):
             assert c[n, k] == lcm_list(d[m, k] for m in range(k, n + 1)), (n, k)
+
+
+def test_c_rows_at_400_run_in_well_under_a_second():
+    # The column lcm of the reduced F denominators took about 0.83 s at 400;
+    # the column step by small gcds takes about 0.15 s.
+    start = time.perf_counter()
+    rows = list(c_rows(400))
+    assert time.perf_counter() - start < 0.6
+    assert rows[-1][1] == lcm_range(400)
 
 
 def test_c_table_fixed_entries(c20):
