@@ -84,12 +84,15 @@ def _table_rows(kind: str, max_n: int) -> Iterator[list[str]]:
     the row above: stirling by its recurrence, F and d from the Stirling row
     by one gcd per entry (``stirling.quotient_rows``), c from the Stirling row
     and the c row above by one small gcd per entry (``constants.c_rows``),
-    and q from its closed form. No kind builds a Fraction. Only the modules a
-    kind reads are imported; `table q` loads neither stirling nor fractions."""
+    and q from its closed form. No kind builds a Fraction, and no kind loads
+    fractions, triangles or json; `table q` does not load stirling either."""
     if kind == "F":
         from .stirling import quotient_rows
 
-        return ([f"{a // g}/{b // g}" for a, b, g in row] for row in quotient_rows(max_n))
+        return (
+            [f"{a // (g := math.gcd(a, b))}/{b // g}" for a, b in row]
+            for row in quotient_rows(max_n)
+        )
     if kind in ("c", "q"):
         from .constants import c_rows, q_rows
 
@@ -105,10 +108,11 @@ def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     kind, max_n = args.kind, args.max_n
     rows = _table_rows(kind, max_n)
     if args.format == "json":
-        import json
-
-        head = f'{{"kind": {json.dumps(kind)}, "max_n": {max_n}, "rows": ['
-        _write_joined(head, map(json.dumps, rows), ", ", "]}\n")
+        # A cell holds only digits, "-" and "/", and a kind only ASCII
+        # letters: no quote, backslash, control or non-ASCII character, so
+        # quoting each one is what json.dumps would write.
+        head = f'{{"kind": "{kind}", "max_n": {max_n}, "rows": ['
+        _write_joined(head, ('["' + '", "'.join(cells) + '"]' for cells in rows), ", ", "]}\n")
         return 0
     lead, sep, trail = ("", ",", "") if args.format == "csv" else ("| ", " | ", " |")
     head = lead + sep.join(["n", *(f"k{k}" for k in range(max_n + 1))]) + trail + "\n"
@@ -173,9 +177,9 @@ def cmd_seq(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     else:
         terms = _running_products(ps[0] if len(ps) == 1 else 1 for ps in divisors)
     if args.format == "json":
-        import json
-
-        _write_joined("[", map(json.dumps, terms), ", ", "]\n")
+        # Terms hold only digits, "^", "*" and spaces, so quoting each one is
+        # what json.dumps would write.
+        _write_joined('["', terms, '", "', '"]\n')
     else:
         _write_joined("", terms, "\n", "\n")
     return 0

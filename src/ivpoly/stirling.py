@@ -8,12 +8,14 @@ a partial-sum recurrence, and the two-term recurrence
 F(n+1, k) = k/(n+1) * F(n, k-1) + n/(n+1) * F(n, k)) recompute the entries
 so that each can serve as an oracle for the others. The denominators of F
 form the d-table that the headline constants are folded from.
-`table stirling` reads ``stirling_rows``; `table F` and `table d` read
-``quotient_rows`` (F as text, d through ``d_rows``), one gcd per entry in
-ints, while ``f_rows``, ``f_table`` and ``d_table`` stay the Fraction routes
-that verify reads. ``compositions`` has no caller here: it is kept as the
-test oracle of the partition walk and for the benchmark tracer, which wraps
-it.
+`table stirling` reads ``stirling_rows``. ``quotient_rows`` walks n!/k!
+down each Stirling row once and feeds ``f_rows`` (one Fraction per entry),
+``d_rows`` and `table F` (one gcd per entry in ints); ``f_rows``, ``f_table``
+and ``d_table`` stay the Fraction routes that verify reads. ``Fraction`` and
+the triangle classes are imported in the functions that build them, so the
+integer tables load neither fractions nor triangles. ``compositions`` has no
+caller here: it is kept as the test oracle of the partition walk and for the
+benchmark tracer, which wraps it.
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ import itertools
 import math
 from collections import Counter
 from collections.abc import Iterator
-from fractions import Fraction
 
 from .exact_arith import EnumerationCapError
-from .triangles import IntegerTriangle, RationalTriangle, StirlingTable
 
 # The subset route walks all C(n-1, k-1) subsets per entry, about 4x more per
 # +2 in n, so both brute-force routes are reserved for oracle duty at small n.
@@ -91,25 +91,25 @@ def stirling_first(max_n: int) -> StirlingTable:
 
     Built from s(0, 0) = 1 by s(n+1, k) = s(n, k-1) - n*s(n, k).
     """
+    from .triangles import StirlingTable
+
     return StirlingTable(stirling_rows(max_n))
 
 
 def f_rows(max_n: int) -> Iterator[list[Fraction]]:
     """Rows 0..max_n of F, each read from the Stirling row of the same n as
-    F(n, k) = |s(n, k)| / (n!/k!), with n!/k! built as k walks down from n."""
-    for n, stirling_row in enumerate(stirling_rows(max_n)):
-        row, falling = [], 1
-        for k in range(n, -1, -1):
-            row.append(Fraction(abs(stirling_row[k]), falling))
-            falling *= k
-        row.reverse()
-        yield row
+    F(n, k) = |s(n, k)| / (n!/k!) (see ``quotient_rows``)."""
+    from fractions import Fraction
+
+    return ([Fraction(a, b) for a, b in row] for row in quotient_rows(max_n))
 
 
 def f_table(max_n: int) -> RationalTriangle:
     """The F triangle up to row max_n, each entry k!/n! * |s(n, k)| reduced
     once from the integer Stirling row (see ``f_recurrence`` for the oracle).
     """
+    from .triangles import RationalTriangle
+
     return RationalTriangle(f_rows(max_n))
 
 
@@ -122,6 +122,10 @@ def f_recurrence(max_n: int) -> RationalTriangle:
     """
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
+    from fractions import Fraction
+
+    from .triangles import RationalTriangle
+
     row = [Fraction(1)]
     rows = [row]
     for n in range(max_n):
@@ -152,6 +156,8 @@ def f_direct(n: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
         if sum(parts) == n:
             repeats = math.prod(map(math.factorial, Counter(parts).values()))
             total += orderings // repeats * (scale // math.prod(parts))
+    from fractions import Fraction
+
     return Fraction(total, scale)
 
 
@@ -171,6 +177,8 @@ def f_from_subsets(n: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     scale = math.factorial(n - 1)
     subsets = itertools.combinations(range(1, n), k - 1)
     total = sum(scale // math.prod(subset) for subset in subsets)
+    from fractions import Fraction
+
     return Fraction(math.factorial(k) * total, n * scale)
 
 
@@ -181,21 +189,22 @@ def f_from_partial_sums(n: int, k: int, table: RationalTriangle) -> Fraction:
         raise ValueError(f"need 1 <= k <= n, got ({n}, {k})")
     if table.max_n < n - 1:
         raise ValueError(f"table covers rows up to {table.max_n}, need {n - 1}")
+    from fractions import Fraction
+
     return Fraction(k, n) * sum(
         (table[m, k - 1] for m in range(k - 1, n)), Fraction(0)
     )
 
 
-def quotient_rows(max_n: int) -> Iterator[list[tuple[int, int, int]]]:
-    """Rows 0..max_n of the triples (a, b, g) = (|s(n, k)|, n!/k!, gcd(a, b)),
-    with n!/k! built as k walks down from n: F(n, k) in lowest terms is
-    (a // g)/(b // g) and d(n, k) = b // g, so `table F` and `table d` build
-    no Fraction."""
+def quotient_rows(max_n: int) -> Iterator[list[tuple[int, int]]]:
+    """Rows 0..max_n of the unreduced pairs (a, b) = (|s(n, k)|, n!/k!), with
+    n!/k! built as k walks down from n, so F(n, k) = a/b. ``f_rows`` reduces
+    each pair as a Fraction; ``d_rows`` and `table F` take one gcd per pair
+    in ints and build no Fraction."""
     for n, stirling_row in enumerate(stirling_rows(max_n)):
         row, falling = [], 1
         for k in range(n, -1, -1):
-            a = abs(stirling_row[k])
-            row.append((a, falling, math.gcd(a, falling)))
+            row.append((abs(stirling_row[k]), falling))
             falling *= k
         row.reverse()
         yield row
@@ -203,10 +212,12 @@ def quotient_rows(max_n: int) -> Iterator[list[tuple[int, int, int]]]:
 
 def d_rows(max_n: int) -> Iterator[list[int]]:
     """Rows 0..max_n of d in ints: d(n, k) = (n!/k!) // gcd(s(n, k), n!/k!)."""
-    return ([falling // g for _, falling, g in row] for row in quotient_rows(max_n))
+    return ([b // math.gcd(a, b) for a, b in row] for row in quotient_rows(max_n))
 
 
 def d_table(f: RationalTriangle) -> IntegerTriangle:
     """Elementwise denominators of the F triangle (den of 0 and 1 is 1): the
     oracle for ``d_rows``, which `table d` reads."""
+    from .triangles import IntegerTriangle
+
     return IntegerTriangle([entry.denominator for entry in row] for row in f.rows)

@@ -149,10 +149,17 @@ def test_table_f_json(capsys):
     assert rebuilt == [list(row) for row in f_table(4).rows]
 
 
-def test_table_json_round_trips_to_same_output(capsys):
-    _, first = run_cli(capsys, "table", "c", "--max-n", "6", "--format", "json")
-    payload = json.loads(first)
-    assert json.dumps(payload) + "\n" == first
+@pytest.mark.parametrize("max_n", ["0", "40"])
+@pytest.mark.parametrize(
+    "argv",
+    [["table", kind] for kind in cli.TABLE_KINDS]
+    + [["seq", "cn"], ["seq", "lambda"], ["seq", "lambda", "--factored"]],
+    ids=lambda argv: "-".join(word.lstrip("-") for word in argv),
+)
+def test_json_output_round_trips_to_same_output(argv, max_n, capsys):
+    # cli quotes the cells itself; json.dumps must write the same bytes.
+    _, out = run_cli(capsys, *argv, "--max-n", max_n, "--format", "json")
+    assert json.dumps(json.loads(out)) + "\n" == out
 
 
 def test_table_d_and_stirling_kinds(capsys):
@@ -164,7 +171,9 @@ def test_table_d_and_stirling_kinds(capsys):
 
 @functools.cache
 def _fraction_route_to_200():
-    f = f_table(200)
+    # The F recurrence reads no Stirling row, so the oracle shares no walk
+    # with `table F|d|c` (f_table reads the same quotient_rows as they do).
+    f = f_recurrence(200)
     d = d_table(f)
     return f, d, c_table(d)
 
@@ -480,8 +489,17 @@ def test_table_and_seq_import_only_what_they_run():
         loaded = _imported_modules("-m", "ivpoly", *args)
         assert "ivpoly.exact_arith" in loaded
         assert loaded - startup & (unused | also_unused) == set(), args
+    # The integer tables and JSON output build no Fraction, no triangle and
+    # quote their cells without json.
+    for kind in ("F", "d", "c", "stirling"):
+        args = ["table", kind, "--max-n", "5", "--format", "json"]
+        loaded = _imported_modules("-m", "ivpoly", *args)
+        assert "ivpoly.stirling" in loaded
+        assert loaded - startup & {
+            "fractions", "decimal", "numbers", "ivpoly.triangles", "json"
+        } == set(), args
     for kind in ("table q", "seq cn"):
-        assert "json" in _imported_modules("-m", "ivpoly", *kind.split(), "--format", "json")
+        assert "json" not in _imported_modules("-m", "ivpoly", *kind.split(), "--format", "json")
     verify = subprocess.run(
         [sys.executable, "-m", "ivpoly", "verify", "lemma1", "--max-n", "5"],
         capture_output=True, check=True,
