@@ -4,14 +4,15 @@ Storing coefficients over this basis makes the two facts the package leans on
 cheap: the forward difference P(X+1) - P(X) shifts the coefficient list down
 one slot, and a polynomial takes integer values on all integers exactly when
 every coefficient is an integer. Differentiation is done by expanding the
-derivation operator in powers of the forward difference; the rational
-expansion coefficients are supplied as a RationalTriangle (see
-``stirling.f_table``). A monomial-basis representation with the ordinary
-power rule is kept alongside as an independent route to the same derivatives.
+derivation operator in powers of the forward difference; the k-th derivative
+reads the rational expansion coefficients as column k of F, supplied as a
+plain sequence (see ``stirling.f_rows``), so this module imports nothing else
+from the package. A monomial-basis representation with the ordinary power
+rule is kept alongside as an independent route to the same derivatives.
 
 Every number keeps the exact type its arithmetic gives: exact ints stay ints,
 and a Fraction appears only where a division happens (the 1/j! of
-``to_monomial`` and the F table that ``derivative`` reads).
+``to_monomial`` and the F column that ``derivative`` reads).
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-
-from .triangles import RationalTriangle
 
 
 def falling_factorials() -> Iterator[list[int]]:
@@ -77,24 +76,25 @@ class BinomialPoly(_Poly):
             raise ValueError(f"difference order must be >= 0, got {i}")
         return BinomialPoly(self.coeffs[i:])
 
-    def derivative(self, k: int, table: RationalTriangle) -> "BinomialPoly":
+    def derivative(self, k: int, column: Sequence[Fraction | int]) -> "BinomialPoly":
         """Exact k-th derivative as a series in the forward differences of P.
 
         The derivative of P of degree d is the alternating combination of the
-        differences of P: sum over k <= m <= d of (-1)**(m-k) * table[m, k]
-        times the m-th forward difference of P. The table must therefore
-        cover rows up to deg(P); k = 0 reproduces P and k > deg(P) gives 0.
+        differences of P: sum over k <= m <= d of (-1)**(m-k) * F(m, k) times
+        the m-th forward difference of P. ``column`` lists F(k, k),
+        F(k+1, k), ... and must reach row deg(P); only its first d - k + 1
+        entries are read. k = 0 reproduces P and k > deg(P) gives 0.
         """
         if k < 0:
             raise ValueError(f"derivative order must be >= 0, got {k}")
         deg = self.degree
         if deg is None or k > deg:
             return BinomialPoly()
-        if table.max_n < deg:
+        if len(column) < deg - k + 1:
             raise ValueError(
-                f"coefficient table covers rows up to {table.max_n}, need {deg}"
+                f"coefficient column covers rows up to {k + len(column) - 1}, need {deg}"
             )
-        signed = [table[m, k] if (m - k) % 2 == 0 else -table[m, k] for m in range(k, deg + 1)]
+        signed = [f if i % 2 == 0 else -f for i, f in enumerate(column[: deg - k + 1])]
         acc = [0] * (deg - k + 1)
         # Coefficient i of P reaches slot i - m of the m-th difference; only
         # nonzero ones are multiplied, so C(X, n) costs O(n) products.

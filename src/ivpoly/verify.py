@@ -6,8 +6,11 @@ on failure, so a run doubles as a certificate at the ranges it was given;
 lemma3 certifies the Stirling quotient k!/n! * |s(n, k)|, not ``f_table``. Each
 check declares its default ranges in its own signature, builds the tables it
 reads, and takes ``enum_cap``, which the capped ones pass to _cap before any
-other work. run_check sets every range of a check to one max_n. Nothing here is
-randomized, hence two runs with the same arguments produce identical reports.
+other work. ``BinomialPoly.derivative`` reads one column of F: lemma1 keeps
+column 1 as ``f_rows`` streams, and theorem3 cuts one column per order from the
+F table it builds for c. run_check sets every range of a check to one max_n.
+Nothing here is randomized, hence two runs with the same arguments produce
+identical reports.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .stirling import (
     f_from_partial_sums,
     f_from_subsets,
     f_recurrence,
+    f_rows,
     f_table,
     part_multisets,
     stirling_rows,
@@ -176,10 +180,11 @@ def check_theorem3(
                     f"q={q[n, k]} not a divisor",
                 )
     for k in range(1, witness_max_n + 1):
+        column = [row[k] for row in f.rows[k:]]
         for parts in part_multisets(witness_max_n, k):
             m = sum(parts)
             values = [math.prod(math.comb(x, i) for i in parts) for x in range(m + 1)]
-            witness = from_values(values).derivative(k, f).eval_int(0)
+            witness = from_values(values).derivative(k, column).eval_int(0)
             want = Fraction((-1) ** (m - k) * math.factorial(k), math.prod(parts))
             if witness != want:
                 return _fail(
@@ -222,11 +227,15 @@ def check_theorem4(
 
 
 def check_lemma1(max_n: int = 16, enum_cap: int | None = None) -> CheckReport:
-    """Mean of reciprocal absolute slopes of C(X, n) at 0..n-1 is 2**(n-1)."""
-    f = f_table(max_n)
+    """Mean of reciprocal absolute slopes of C(X, n) at 0..n-1 is 2**(n-1).
+
+    The slope of C(X, n) reads F(1, 1), ..., F(n, 1), column 1 of F, which is
+    all that is kept of each row as ``f_rows`` streams them."""
     name, tested = "lemma1", f"1 <= n <= {max_n}"
-    for n in range(1, max_n + 1):
-        slope = basis(n).derivative(1, f)
+    column = []
+    for n, row in enumerate(itertools.islice(f_rows(max_n), 1, None), start=1):
+        column.append(row[1])
+        slope = basis(n).derivative(1, column)
         total = 0
         for k in range(n):
             value = slope.eval_int(k)

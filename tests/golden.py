@@ -153,7 +153,13 @@ def lemma3_valuations_from_f(max_n, primes):
     return out
 
 
-def derivative_every_coefficient(poly, k, table):
+def f_column(table, k):
+    """Column k of an F triangle from row k down, F(k, k), F(k+1, k), ...:
+    the coefficients ``BinomialPoly.derivative`` reads for order k."""
+    return [row[k] for row in table.rows[k:]]
+
+
+def derivative_every_coefficient(poly, k, column):
     """The loop that ``BinomialPoly.derivative`` replaced: one product per
     coefficient of each difference, zero coefficients included."""
     deg = poly.degree
@@ -161,7 +167,7 @@ def derivative_every_coefficient(poly, k, table):
         return BinomialPoly()
     acc = [0] * (deg - k + 1)
     for m in range(k, deg + 1):
-        factor = table[m, k] if (m - k) % 2 == 0 else -table[m, k]
+        factor = column[m - k] if (m - k) % 2 == 0 else -column[m - k]
         if factor == 0:
             continue
         for j in range(deg - m + 1):

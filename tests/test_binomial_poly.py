@@ -15,7 +15,7 @@ from ivpoly import (
     stirling_first,
 )
 from ivpoly.binomial_poly import falling_factorials
-from golden import derivative_every_coefficient, eval_int_every_term, eval_int_loop
+from golden import derivative_every_coefficient, eval_int_every_term, eval_int_loop, f_column
 
 F12 = f_table(12)
 
@@ -58,19 +58,19 @@ def test_forward_difference_shifts_basis():
 
 
 def test_derivative_of_basis_two():
-    slope = basis(2).derivative(1, F12)
+    slope = basis(2).derivative(1, f_column(F12, 1))
     assert slope.to_monomial().coeffs == (Fraction(-1, 2), Fraction(1))
     assert not slope.is_integer_valued()
 
 
 def test_derivative_of_basis_at_zero_is_alternating_reciprocal():
     for k in range(1, 11):
-        assert basis(k).derivative(1, F12).eval_int(0) == Fraction((-1) ** (k - 1), k)
+        assert basis(k).derivative(1, f_column(F12, 1)).eval_int(0) == Fraction((-1) ** (k - 1), k)
 
 
 def test_derivative_order_zero_is_identity():
     p = BinomialPoly([Fraction(3, 7), -2, Fraction(5, 3)])
-    assert p.derivative(0, F12) == p
+    assert p.derivative(0, f_column(F12, 0)) == p
 
 
 @settings(max_examples=200, deadline=None)
@@ -86,19 +86,29 @@ def test_derivative_matches_the_every_coefficient_loop(entries, k):
     # Sparse polynomials, where skipping the zero coefficients saves the most.
     coeffs = [entries.get(i, 0) for i in range(max(entries, default=-1) + 1)]
     poly = BinomialPoly(coeffs)
-    got, expected = poly.derivative(k, F12), derivative_every_coefficient(poly, k, F12)
+    column = f_column(F12, k)
+    got, expected = poly.derivative(k, column), derivative_every_coefficient(poly, k, column)
     assert got == expected
     assert [type(c) for c in got.coeffs if c] == [type(c) for c in expected.coeffs if c]
 
 
 def test_derivative_beyond_degree_is_zero():
-    assert basis(3).derivative(4, F12) == BinomialPoly()
-    assert BinomialPoly().derivative(2, F12) == BinomialPoly()
+    assert basis(3).derivative(4, f_column(F12, 4)) == BinomialPoly()
+    assert BinomialPoly().derivative(2, f_column(F12, 2)) == BinomialPoly()
 
 
-def test_derivative_requires_covering_table():
-    with pytest.raises(ValueError):
-        basis(5).derivative(1, f_table(3))
+def test_derivative_requires_covering_column():
+    # Column 1 from row 1 to row 4 stops one row short of degree 5.
+    with pytest.raises(ValueError, match=r"^coefficient column covers rows up to 4, need 5$"):
+        basis(5).derivative(1, f_column(F12, 1)[:4])
+
+
+def test_derivative_reads_only_the_rows_it_needs():
+    # A column past deg(P) gives the derivative of the column that stops there.
+    for m in range(13):
+        for k in range(m + 1):
+            column = f_column(F12, k)
+            assert basis(m).derivative(k, column) == basis(m).derivative(k, column[: m - k + 1])
 
 
 def test_eval_int():
@@ -125,7 +135,7 @@ def test_eval_int_matches_the_term_by_term_sum(coeffs, x):
 
 
 def test_eval_int_keeps_the_type_of_the_term_sum():
-    slopes = [basis(n).derivative(1, F12) for n in range(1, 13)]
+    slopes = [basis(n).derivative(1, f_column(F12, 1)) for n in range(1, 13)]
     for poly in (*slopes, from_values([4, -1, 7, 0, 2]), BinomialPoly([0, Fraction(0), 5])):
         for x in range(-6, 14):
             value, expected = poly.eval_int(x), eval_int_loop(poly, x)
@@ -156,7 +166,7 @@ def test_eval_int_stopping_at_x_matches_every_term(terms, gap, x):
 
 def test_is_integer_valued():
     assert all(basis(n).is_integer_valued() for n in range(9))
-    assert not basis(2).derivative(1, F12).is_integer_valued()
+    assert not basis(2).derivative(1, f_column(F12, 1)).is_integer_valued()
     # X(X+1)/2 has a fractional monomial form but integer basis coefficients
     triangular = MonomialPoly([0, Fraction(1, 2), Fraction(1, 2)]).to_binomial()
     assert triangular.is_integer_valued()
@@ -227,27 +237,27 @@ def test_derivative_agrees_with_power_rule_on_basis():
     for m in range(13):
         mono = basis(m).to_monomial()
         for k in range(m + 1):
-            assert basis(m).derivative(k, F12).to_monomial() == mono.derivative(k)
+            assert basis(m).derivative(k, f_column(F12, k)).to_monomial() == mono.derivative(k)
 
 
 @settings(max_examples=60)
 @given(coefficients, st.integers(min_value=0, max_value=4))
 def test_derivative_agrees_with_power_rule_randomized(coeffs, k):
     p = BinomialPoly(coeffs)
-    assert p.derivative(k, F12).to_monomial() == p.to_monomial().derivative(k)
+    assert p.derivative(k, f_column(F12, k)).to_monomial() == p.to_monomial().derivative(k)
 
 
 @settings(max_examples=60)
 @given(coefficients)
 def test_second_derivative_composes(coeffs):
-    p = BinomialPoly(coeffs)
-    assert p.derivative(1, F12).derivative(1, F12) == p.derivative(2, F12)
+    p, first = BinomialPoly(coeffs), f_column(F12, 1)
+    assert p.derivative(1, first).derivative(1, first) == p.derivative(2, f_column(F12, 2))
 
 
 def test_second_derivative_composes_on_basis():
     for m in range(11):
-        p = basis(m)
-        assert p.derivative(1, F12).derivative(1, F12) == p.derivative(2, F12)
+        p, first = basis(m), f_column(F12, 1)
+        assert p.derivative(1, first).derivative(1, first) == p.derivative(2, f_column(F12, 2))
 
 
 def test_repeated_differences_hit_kronecker_delta():
@@ -260,7 +270,7 @@ def test_repeated_differences_hit_kronecker_delta():
 def test_derivative_degree_law():
     for m in range(1, 11):
         for k in range(m + 1):
-            assert basis(m).derivative(k, F12).degree == m - k
+            assert basis(m).derivative(k, f_column(F12, k)).degree == m - k
 
 
 def _integer_valued_by_values(p: BinomialPoly) -> bool:

@@ -23,6 +23,7 @@ from ivpoly.stirling import part_multisets
 from golden import (
     compositions_recursive,
     f_direct_fractions,
+    f_column,
     f_from_subsets_fractions,
     part_multisets_filtered,
 )
@@ -190,7 +191,7 @@ def test_f_matches_basis_derivative_at_zero(f20):
     for n in range(13):
         mono = basis(n).to_monomial()
         for k in range(n + 1):
-            assert abs(basis(n).derivative(k, f20).eval_int(0)) == f20[n, k]
+            assert abs(basis(n).derivative(k, f_column(f20, k)).eval_int(0)) == f20[n, k]
             assert abs(mono.derivative(k).eval(0)) == f20[n, k]
 
 

@@ -24,7 +24,7 @@ from ivpoly import (
     run_check,
 )
 from ivpoly.exact_arith import vp_int
-from ivpoly.stirling import part_multisets, stirling_rows
+from ivpoly.stirling import f_rows, part_multisets, stirling_rows
 from ivpoly.verify import CHECK_NAMES, CheckReport
 from golden import lemma3_valuations_from_f
 
@@ -51,9 +51,10 @@ def _with_entry(triangle, n, k, value):
     return RationalTriangle(rows)
 
 
-def _stirling_rows_with(*entries):
-    """stirling_rows with each (n, k, value) entry replaced (fault injection)."""
-    rows = [list(row) for row in stirling_rows(8)]
+def _rows_with(rows_of, *entries):
+    """A row generator, stirling_rows or f_rows, with each (n, k, value) entry
+    replaced (fault injection)."""
+    rows = [list(row) for row in rows_of(8)]
     for n, k, value in entries:
         rows[n][k] = value
     return lambda max_n: iter(rows[: max_n + 1])
@@ -178,12 +179,11 @@ class TestChecksCanFail:
         assert not report.passed
         assert "n=4" in report.counterexample.params
 
-    def test_lemma1(self, monkeypatch, small_tables):
-        f, _, _ = small_tables
-        monkeypatch.setattr(verify, "f_table", lambda max_n: _with_entry(f, 3, 1, Fraction(2, 3)))
+    def test_lemma1(self, monkeypatch):
+        monkeypatch.setattr(verify, "f_rows", _rows_with(f_rows, (3, 1, Fraction(2, 3))))
         report = verify.check_lemma1(4)
         assert not report.passed
-        assert "n=3" in report.counterexample.params
+        assert str(report.counterexample) == "n=3: mean=3 vs expected=4"
 
     def test_lemma2(self, monkeypatch):
         monkeypatch.setattr(verify, "vp_int", lambda a, p: a)
@@ -193,20 +193,21 @@ class TestChecksCanFail:
 
     def test_lemma3(self, monkeypatch):
         # s(4, 2) = 11 is odd; 12 has vp_2 = 2, so vp_2(F(4, 2)) reads 2 - 2 = 0.
-        monkeypatch.setattr(verify, "stirling_rows", _stirling_rows_with((4, 2, 12)))
+        monkeypatch.setattr(verify, "stirling_rows", _rows_with(stirling_rows, (4, 2, 12)))
         report = verify.check_lemma3(8)
         assert not report.passed
         assert "k=2, p=2" in report.counterexample.params
 
     def test_lemma3_reports_the_first_failing_row(self, monkeypatch):
         # s(6, 2) is read for p = 3 in row 6, s(8, 4) for p = 2 in row 8.
-        monkeypatch.setattr(verify, "stirling_rows", _stirling_rows_with((6, 2, 9), (8, 4, 16)))
+        faulty = _rows_with(stirling_rows, (6, 2, 9), (8, 4, 16))
+        monkeypatch.setattr(verify, "stirling_rows", faulty)
         report = verify.check_lemma3(8)
         assert str(report.counterexample) == "k=2, p=3: vp=0 vs expected=-2"
 
     def test_lemma3_reports_a_zero_entry(self, monkeypatch):
         # Every prime divides 0, whose valuation is infinite: a report, not a raise.
-        monkeypatch.setattr(verify, "stirling_rows", _stirling_rows_with((4, 2, 0)))
+        monkeypatch.setattr(verify, "stirling_rows", _rows_with(stirling_rows, (4, 2, 0)))
         report = verify.check_lemma3(8)
         assert str(report.counterexample) == "k=2, p=2: vp=inf vs expected=-2"
 
@@ -239,7 +240,7 @@ class TestChecksCanFail:
          lambda: verify.check_theorem3(0, 6), "parts=(1, 3): den=3 vs k!*c=2 not a multiple"),
         ("c_table", lambda tables: lambda d: _with_entry(tables[1], 4, 2, 7),
          lambda: verify.check_theorem4(0, 6), "n=4: oracle lcm=12 vs lcm(c row)=84"),
-        ("f_table", lambda tables: lambda max_n: _with_entry(tables[0], 1, 1, 0),
+        ("f_rows", lambda tables: _rows_with(f_rows, (1, 1, 0)),
          lambda: verify.check_lemma1(2), "n=1, k=0: slope=0 vs expected nonzero"),
     ],
     ids=["theorem2-divisibility", "theorem3-witness-bound", "theorem4-oracle-lcm", "lemma1-slope"],
@@ -284,6 +285,17 @@ def test_proposition2_names_a_recurrence_mismatch(monkeypatch, small_tables):
     report = verify.check_proposition2(8)
     assert not report.passed
     assert str(report.counterexample) == "n=5, k=3: table=12 vs recurrence=7"
+
+
+def test_lemma1_builds_no_f_table(monkeypatch):
+    # lemma1 reads column 1 of F off the streamed rows, so no triangle is built.
+    monkeypatch.setattr(verify, "f_table", lambda *args, **kwargs: pytest.fail("built F"))
+    assert verify.check_lemma1(30).passed
+
+
+def test_lemma1_past_its_default():
+    # Columns of 100 entries, longer than any F12 or f20 column the tests read.
+    assert verify.check_lemma1(100).passed
 
 
 def test_lemma3_stirling_valuation_matches_the_f_route():
