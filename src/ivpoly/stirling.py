@@ -4,7 +4,7 @@ F(n, k) is the sum of 1/(i_1 * ... * i_k) over all ordered ways of writing n
 as k positive parts; equivalently k!/n! times |s(n, k)|. The production route
 is that Stirling quotient, read row by row from the integer Stirling rows with
 one reduction per entry; four further routes (a partition sum, a subset sum,
-a partial-sum recurrence, and the two-term recurrence
+a partial sum of column k-1, and the two-term recurrence
 F(n+1, k) = k/(n+1) * F(n, k-1) + n/(n+1) * F(n, k)) recompute the entries
 so that each can serve as an oracle for the others. The denominators of F
 form the d-table that the headline constants are folded from.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from .exact_arith import EnumerationCapError
 
@@ -182,18 +182,17 @@ def f_from_subsets(n: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     return Fraction(math.factorial(k) * total, n * scale)
 
 
-def f_from_partial_sums(n: int, k: int, table: RationalTriangle) -> Fraction:
-    """F(n, k) for 1 <= k <= n as k/n times the partial column sum
-    of F(m, k-1) over k-1 <= m <= n-1."""
+def f_from_partial_sums(n: int, k: int, column: Sequence[Fraction]) -> Fraction:
+    """F(n, k) for 1 <= k <= n as k/n times F(k-1, k-1) + ... + F(n-1, k-1), the
+    first n-k+1 entries of ``column``: column k-1 of F from row k-1 down, the
+    column ``BinomialPoly.derivative`` reads for order k-1."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got ({n}, {k})")
-    if table.max_n < n - 1:
-        raise ValueError(f"table covers rows up to {table.max_n}, need {n - 1}")
+    if len(column) < n - k + 1:
+        raise ValueError(f"coefficient column covers rows up to {k + len(column) - 2}, need {n - 1}")
     from fractions import Fraction
 
-    return Fraction(k, n) * sum(
-        (table[m, k - 1] for m in range(k - 1, n)), Fraction(0)
-    )
+    return Fraction(k, n) * sum(column[: n - k + 1], Fraction(0))
 
 
 def quotient_rows(max_n: int) -> Iterator[list[tuple[int, int]]]:

@@ -5,10 +5,10 @@ interpolation, or the monomial power rule) and reports the first counterexample
 on failure, so a run doubles as a certificate at the ranges it was given;
 lemma3 certifies the Stirling quotient k!/n! * |s(n, k)|, not ``f_table``. Each
 check declares its default ranges in its own signature, builds the tables it
-reads, and takes ``enum_cap``, which the capped ones pass to _cap before any
-other work. ``BinomialPoly.derivative`` reads one column of F: lemma1 keeps
-column 1 as ``f_rows`` streams, and theorem3 cuts one column per order from the
-F table it builds for c. run_check sets every range of a check to one max_n.
+reads, and takes ``enum_cap`` only if capped, passing it to _cap before any
+other work. ``BinomialPoly.derivative`` and ``f_from_partial_sums`` read one
+column of F: lemma1 keeps column 1 as ``f_rows`` streams; theorem3 and
+proposition1 cut each from their F table. run_check sets every range to max_n.
 Nothing here is randomized, hence two runs with the same arguments produce
 identical reports.
 """
@@ -226,7 +226,7 @@ def check_theorem4(
     return CheckReport(name, tested, True)
 
 
-def check_lemma1(max_n: int = 16, enum_cap: int | None = None) -> CheckReport:
+def check_lemma1(max_n: int = 16) -> CheckReport:
     """Mean of reciprocal absolute slopes of C(X, n) at 0..n-1 is 2**(n-1).
 
     The slope of C(X, n) reads F(1, 1), ..., F(n, 1), column 1 of F, which is
@@ -247,7 +247,7 @@ def check_lemma1(max_n: int = 16, enum_cap: int | None = None) -> CheckReport:
     return CheckReport(name, tested, True)
 
 
-def check_corollary1(max_n: int = 64, enum_cap: int | None = None) -> CheckReport:
+def check_corollary1(max_n: int = 64) -> CheckReport:
     """lcm(1..n) >= 2**(n-1)."""
     name, tested = "corollary1", f"1 <= n <= {max_n}"
     for n in range(1, max_n + 1):
@@ -256,7 +256,7 @@ def check_corollary1(max_n: int = 64, enum_cap: int | None = None) -> CheckRepor
     return CheckReport(name, tested, True)
 
 
-def check_lemma2(max_a: int = 10_000, enum_cap: int | None = None) -> CheckReport:
+def check_lemma2(max_a: int = 10_000) -> CheckReport:
     """vp(a) <= a / p, exhaustively."""
     name, tested = "lemma2", f"1 <= a <= {max_a}, p in {LEMMA2_PRIMES}"
     for p in LEMMA2_PRIMES:
@@ -266,7 +266,7 @@ def check_lemma2(max_a: int = 10_000, enum_cap: int | None = None) -> CheckRepor
     return CheckReport(name, tested, True)
 
 
-def check_lemma3(max_n: int = 30, enum_cap: int | None = None) -> CheckReport:
+def check_lemma3(max_n: int = 30) -> CheckReport:
     """vp(F(k*p, k)) = -k: as F(n, k) = |s(n, k)| * k!/n! and vp((k*p)!/k!) = k
     (Legendre), that is p not dividing s(k*p, k), read one Stirling row at a time."""
     name, tested = "lemma3", f"k*p <= {max_n}, p in {LEMMA3_PRIMES}"
@@ -285,6 +285,7 @@ def cross_check_f(max_n: int = 14, enum_cap: int | None = None) -> CheckReport:
     cap = _cap("direct composition sum", max_n, DEFAULT_ENUM_CAP, enum_cap)
     name, tested = "proposition1", f"0 <= k <= n <= {max_n}"
     f, recurrence = f_table(max_n), f_recurrence(max_n)
+    columns = [[row[k] for row in f.rows[k:]] for k in range(max_n + 1)]
     for n in range(max_n + 1):
         mono = basis(n).to_monomial()
         for k in range(n + 1):
@@ -296,7 +297,7 @@ def cross_check_f(max_n: int = 14, enum_cap: int | None = None) -> CheckReport:
             if k >= 2:
                 routes.append(("subsets", f_from_subsets(n, k, cap=cap)))
             if k >= 1:
-                routes.append(("partial sums", f_from_partial_sums(n, k, f)))
+                routes.append(("partial sums", f_from_partial_sums(n, k, columns[k - 1])))
             routes.append(("recurrence", recurrence[n, k]))
             for label, value in routes:
                 if value != base:
@@ -328,7 +329,7 @@ def run_check(name: str, max_n: int | None = None, enum_cap: int | None = None) 
     """Run one named check at its default ranges, or with every range set to
     max_n. enum_cap, when set, replaces the cap of every brute-force route
     (the multiplier oracle, the theorem3 witnesses, and the F and q
-    enumerations); it is the library form of the CLI's IVPOLY_ENUM_CAP."""
+    enumerations) in a check that declares it, as IVPOLY_ENUM_CAP does."""
     if name not in CHECK_NAMES:
         raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
     if max_n is not None and max_n < 0:
@@ -336,17 +337,17 @@ def run_check(name: str, max_n: int | None = None, enum_cap: int | None = None) 
     if enum_cap is not None and enum_cap < 1:
         raise ValueError(f"enum_cap must be >= 1, got {enum_cap}")
     # Looked up by name at call time, so a wrapped module attribute is seen;
-    # the ranges are read from the code of the check under any wrappers made
-    # with functools.wraps, which record what they wrap in __wrapped__.
+    # the parameters are read from the code of the check under any wrappers
+    # made with functools.wraps, which record what they wrap in __wrapped__.
     check = globals()["cross_check_f" if name == "proposition1" else f"check_{name}"]
-    if max_n is None:
-        return check(enum_cap=enum_cap)
     inner = check
     while hasattr(inner, "__wrapped__"):
         inner = inner.__wrapped__
     params = inner.__code__.co_varnames[: inner.__code__.co_argcount]
-    ranges = {p: max_n for p in params if p != "enum_cap"}
-    return check(**ranges, enum_cap=enum_cap)
+    kwargs = {} if max_n is None else {p: max_n for p in params if p != "enum_cap"}
+    if "enum_cap" in params:
+        kwargs["enum_cap"] = enum_cap
+    return check(**kwargs)
 
 
 def run_all(max_n: int | None = None, enum_cap: int | None = None) -> list[CheckReport]:

@@ -155,7 +155,8 @@ def lemma3_valuations_from_f(max_n, primes):
 
 def f_column(table, k):
     """Column k of an F triangle from row k down, F(k, k), F(k+1, k), ...:
-    the coefficients ``BinomialPoly.derivative`` reads for order k."""
+    the coefficients ``BinomialPoly.derivative`` reads for order k, and the
+    column ``stirling.f_from_partial_sums`` reads for F(n, k + 1)."""
     return [row[k] for row in table.rows[k:]]
 
 

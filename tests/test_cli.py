@@ -625,6 +625,15 @@ def test_env_cap_is_honored(capsys, monkeypatch):
     assert "proposition2: pass" in out
 
 
+def test_uncapped_check_runs_under_the_smallest_cap(capsys, monkeypatch):
+    # lemma2 takes no enum_cap, so the cap does not reach it.
+    monkeypatch.delenv("IVPOLY_ENUM_CAP", raising=False)
+    uncapped = run_cli(capsys, "verify", "lemma2", "--max-n", "50")
+    monkeypatch.setenv("IVPOLY_ENUM_CAP", "1")
+    assert run_cli(capsys, "verify", "lemma2", "--max-n", "50") == uncapped
+    assert uncapped == (0, "lemma2: pass [1 <= a <= 50, p in (2, 3, 5, 7)]\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -166,13 +166,20 @@ def test_f_routes_match_the_fraction_sums():
 
 
 def test_f_from_partial_sums(f20):
-    assert f_from_partial_sums(4, 2, f20) == Fraction(11, 12)
-    assert all(f_from_partial_sums(n, 1, f20) == Fraction(1, n) for n in range(1, 21))
-    assert f_from_partial_sums(1, 1, f20) == 1
+    assert f_from_partial_sums(4, 2, f_column(f20, 1)) == Fraction(11, 12)
+    assert all(f_from_partial_sums(n, 1, f_column(f20, 0)) == Fraction(1, n) for n in range(1, 21))
+    assert f_from_partial_sums(1, 1, f_column(f20, 0)) == 1
     with pytest.raises(ValueError):
-        f_from_partial_sums(3, 0, f20)
-    with pytest.raises(ValueError):
-        f_from_partial_sums(25, 2, f20)
+        f_from_partial_sums(3, 0, f_column(f20, 0))
+    with pytest.raises(ValueError, match=r"^coefficient column covers rows up to 20, need 24$"):
+        f_from_partial_sums(25, 2, f_column(f20, 1))
+    # F(6, 3) sums F(2, 2) .. F(5, 2): a column one row short raises, and one
+    # that stops at row 5 gives what the longer f20 column gives.
+    with pytest.raises(ValueError, match=r"^coefficient column covers rows up to 4, need 5$"):
+        f_from_partial_sums(6, 3, f_column(f20, 2)[:3])
+    assert f_from_partial_sums(6, 3, f_column(f20, 2)[:4]) == f_from_partial_sums(
+        6, 3, f_column(f20, 2)
+    ) == f20[6, 3]
 
 
 def test_all_routes_agree(f20):
@@ -183,7 +190,7 @@ def test_all_routes_agree(f20):
             if k >= 2:
                 assert f_from_subsets(n, k) == expected
             if k >= 1:
-                assert f_from_partial_sums(n, k, f20) == expected
+                assert f_from_partial_sums(n, k, f_column(f20, k - 1)) == expected
 
 
 def test_f_matches_basis_derivative_at_zero(f20):

@@ -261,7 +261,7 @@ def test_other_failure_branches(name, fault, check, counterexample, monkeypatch,
         ("basis", lambda f: lambda n: BinomialPoly([0] * n + [2]),
          "n=0, k=0, route=power rule at 0: 2 vs table=1"),
         ("f_from_subsets", lambda f: lambda n, k, cap: 0, "n=2, k=2, route=subsets: 0 vs table=1"),
-        ("f_from_partial_sums", lambda f: lambda n, k, table: 0,
+        ("f_from_partial_sums", lambda f: lambda n, k, column: 0,
          "n=1, k=1, route=partial sums: 0 vs table=1"),
         ("f_recurrence", lambda f: lambda max_n: _with_entry(f, 5, 3, Fraction(1, 2)),
          "n=5, k=3, route=recurrence: 1/2 vs table=7/4"),
@@ -424,12 +424,42 @@ def test_config_override_single_check():
     assert report.tested == "oracle equality for n <= 3; divisibility for n <= 3"
 
 
+def _declared_ranges(check):
+    return [p for p in inspect.signature(check).parameters if p != "enum_cap"]
+
+
 @pytest.mark.parametrize("name", CHECK_NAMES)
 def test_run_check_is_the_check_at_its_defaults_or_at_max_n(name):
     check = getattr(verify, "cross_check_f" if name == "proposition1" else f"check_{name}")
-    ranges = [4] * (len(inspect.signature(check).parameters) - 1)
+    ranges = [4] * len(_declared_ranges(check))
     assert run_check(name) == check()
     assert run_check(name, max_n=4) == check(*ranges)
+
+
+# The checks with a brute-force route, the only ones that take enum_cap.
+CAPPED_CHECKS = ("proposition1", "proposition2", "theorem1", "theorem2", "theorem3", "theorem4")
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_run_check_passes_only_what_the_check_declares(name, monkeypatch):
+    # The ranges when max_n is given, and enum_cap only to a capped check.
+    attr = "cross_check_f" if name == "proposition1" else f"check_{name}"
+    check, calls = getattr(verify, attr), []
+
+    @functools.wraps(check)
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(verify, attr, recording)
+    assert run_check(name).passed
+    assert run_check(name, max_n=3, enum_cap=5).passed
+    capped = name in CAPPED_CHECKS
+    ranges = dict.fromkeys(_declared_ranges(check), 3)
+    assert calls == [
+        {"enum_cap": None} if capped else {},
+        {**ranges, "enum_cap": 5} if capped else ranges,
+    ]
 
 
 @pytest.mark.parametrize("depth", [1, 2])
