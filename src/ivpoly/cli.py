@@ -80,28 +80,19 @@ def _write_joined(head: str, items: Iterable[str], separator: str, tail: str) ->
 
 
 def _table_rows(kind: str, max_n: int) -> Iterator[list[str]]:
-    """The rows of one table kind as text cells, each row made in ints from
-    the row above: stirling by its recurrence, F and d from the Stirling row
-    by one gcd per entry (``stirling.quotient_rows``), c from the Stirling row
-    and the c row above by one small gcd per entry (``constants.c_rows``),
-    and q from its closed form. No kind builds a Fraction, and no kind loads
-    fractions, triangles or json; `table q` does not load stirling either."""
-    if kind == "F":
-        from .stirling import quotient_rows
+    """The rows of one table kind as text cells, from the integer row
+    generators of ``rows``: F as its pairs reduced by one gcd each."""
+    from . import rows
 
+    if kind == "F":
         return (
             [f"{a // (g := math.gcd(a, b))}/{b // g}" for a, b in row]
-            for row in quotient_rows(max_n)
+            for row in rows.quotient_rows(max_n)
         )
-    if kind in ("c", "q"):
-        from .constants import c_rows, q_rows
-
-        rows = c_rows if kind == "c" else q_rows
-    else:
-        from .stirling import d_rows, stirling_rows
-
-        rows = d_rows if kind == "d" else stirling_rows
-    return ([*map(str, row)] for row in rows(max_n))
+    generate = {
+        "c": rows.c_rows, "q": rows.q_rows, "d": rows.d_rows, "stirling": rows.stirling_rows
+    }[kind]
+    return ([*map(str, row)] for row in generate(max_n))
 
 
 def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

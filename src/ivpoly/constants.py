@@ -9,88 +9,35 @@ prod over primes p of p**(n // p). ``lambda_product`` computes one lambda(n)
 and stays the oracle of the sequences that ``ivpoly seq lambda`` streams.
 ``q_table`` builds q from a closed form of its p-adic valuations, and
 ``q_recurrence`` (the lcm recurrence) and ``q_direct`` (enumeration) stay as
-its oracles. `table q` reads ``q_rows`` and `table c` reads ``c_rows``, which
-steps each c column down the Stirling rows by one small gcd per entry;
-``c_table``, the lcm fold of the d-table, stays its oracle and is what verify
-reads. The Stirling rows, the triangle class and the brute-force walker are
-imported where they are used, so streaming q loads neither stirling nor
-fractions.
+its oracles. ``c_table`` folds the d-table by lcm and is what verify reads.
+The integer rows that `table c` and `table q` print live in ``rows``.
+The triangle class is imported where it is used, so the checks that build no
+triangle load none.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
 
 from .exact_arith import EnumerationCapError, PrimeFactorization, lcm_list, primes_up_to
+from .rows import q_rows
+from .stirling import part_multisets
 
 # q_direct walks every multiset of k parts with sum <= n, an oracle-only route;
 # the cap stays 18, as the exit-3 boundary and its error message are pinned.
 DEFAULT_Q_ENUM_CAP = 18
 
 
-def c_rows(max_n: int) -> Iterator[list[int]]:
-    """Rows 0..max_n of c, row n from Stirling row n and c row n - 1.
-
-    Every d(m, k) divides m!/k!, so c(n - 1, k) divides N = n!/k!. Prime by
-    prime, max(v_p(c(n - 1, k)), v_p(d(n, k))) is then the valuation of
-
-        c(n, k) = c(n - 1, k) * M / g,  g = gcd(s(n, k) mod M, M),
-
-    with M = N / c(n - 1, k). The step leaves c(n, k) = N / g, so column k
-    keeps g = (n!/k!) / c(n, k), which opens at 1 as c(k, k) = 1, and the
-    next row's M is n + 1 times it. So no step reads N, and each gcd is on
-    M, a few hundred bits at n = 240, where d(n, k) takes one on all of N.
-    """
-    from .stirling import stirling_rows
-
-    row: list[int] = []
-    left: list[int] = []  # (n!/k!) / c(n, k) along the row last yielded
-    for n, stirling_row in enumerate(stirling_rows(max_n)):
-        row = row[:]
-        for k in range(n):
-            m = n * left[k]
-            left[k] = g = math.gcd(stirling_row[k] % m, m)
-            if g != m:
-                row[k] *= m // g
-        row.append(1)
-        left.append(1)
-        yield row
-
-
 def c_table(d: IntegerTriangle) -> IntegerTriangle:
     """Column-wise lcm folds of the d-table, row for row: entry (n, k) is
     lcm of d(m, k) for k <= m <= n, and c(n, n) = d(n, n) opens column n.
-    The oracle for ``c_rows``, which `table c` reads."""
+    The oracle for ``rows.c_rows``, which `table c` reads."""
     from .triangles import IntegerTriangle
 
     return IntegerTriangle(
         itertools.accumulate(d.rows, lambda row, d_row: [*map(math.lcm, row, d_row), d_row[-1]])
     )
-
-
-def q_rows(max_n: int) -> Iterator[list[int]]:
-    """Rows 0..max_n of q: row n is row n - 1 times the small steps read from
-    the valuation thresholds that fall on n (see q_table), and q(n, n) = 1."""
-    if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
-    primes = primes_up_to(max_n)
-    row = [1]
-    yield row
-    for n in range(1, max_n + 1):
-        steps = [1] * (n + 1)
-        for p in primes:
-            if p > n:
-                break
-            u = n * p
-            while u % p == 0:  # u runs over n / p**t for each p**t dividing n
-                u //= p
-                # k = u - r*(p - 1) for 1 <= r <= u // p
-                for k in range(u - p + 1, u - u // p * (p - 1) - 1, 1 - p):
-                    steps[k] *= p
-        row = [entry * step if step != 1 else entry for entry, step in zip([*row, 1], steps)]
-        yield row
 
 
 def q_table(max_n: int) -> IntegerTriangle:
@@ -153,8 +100,6 @@ def q_direct(n: int, k: int, cap: int = DEFAULT_Q_ENUM_CAP) -> int:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
     if n > cap:
         raise EnumerationCapError("composition product lcm", n, cap)
-    from .stirling import part_multisets
-
     out = 1
     for parts in part_multisets(n, k):
         out = math.lcm(out, math.prod(parts))

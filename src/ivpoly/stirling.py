@@ -8,14 +8,11 @@ a partial sum of column k-1, and the two-term recurrence
 F(n+1, k) = k/(n+1) * F(n, k-1) + n/(n+1) * F(n, k)) recompute the entries
 so that each can serve as an oracle for the others. The denominators of F
 form the d-table that the headline constants are folded from.
-`table stirling` reads ``stirling_rows``. ``quotient_rows`` walks n!/k!
-down each Stirling row once and feeds ``f_rows`` (one Fraction per entry),
-``d_rows`` and `table F` (one gcd per entry in ints); ``f_rows``, ``f_table``
-and ``d_table`` stay the Fraction routes that verify reads. ``Fraction`` and
-the triangle classes are imported in the functions that build them, so the
-integer tables load neither fractions nor triangles. ``compositions`` has no
-caller here: it is kept as the test oracle of the partition walk and for the
-benchmark tracer, which wraps it.
+The Stirling rows and the n!/k! pairs that F is read from live in ``rows``,
+with the other integer rows that `table` prints. The triangle classes are
+imported in the functions that build them, so the checks that stream rows
+load no triangle. ``compositions`` has no caller here: it is kept as the test
+oracle of the partition walk and for the benchmark tracer, which wraps it.
 """
 
 from __future__ import annotations
@@ -24,8 +21,10 @@ import itertools
 import math
 from collections import Counter
 from collections.abc import Iterator, Sequence
+from fractions import Fraction
 
 from .exact_arith import EnumerationCapError
+from .rows import quotient_rows, stirling_rows
 
 # The subset route walks all C(n-1, k-1) subsets per entry, about 4x more per
 # +2 in n, so both brute-force routes are reserved for oracle duty at small n.
@@ -74,18 +73,6 @@ def _ascending_parts(
         yield from _ascending_parts((*prefix, part), part, budget - part, left - 1)
 
 
-def stirling_rows(max_n: int) -> Iterator[list[int]]:
-    """Rows 0..max_n of the Stirling numbers of the first kind, each from the
-    row above by s(n+1, k) = s(n, k-1) - n*s(n, k), from s(0, 0) = 1."""
-    if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
-    row = [1]
-    yield row
-    for n in range(max_n):
-        row = [left - n * right for left, right in zip([0, *row], [*row, 0])]
-        yield row
-
-
 def stirling_first(max_n: int) -> StirlingTable:
     """Triangle of Stirling numbers of the first kind up to row max_n.
 
@@ -98,9 +85,7 @@ def stirling_first(max_n: int) -> StirlingTable:
 
 def f_rows(max_n: int) -> Iterator[list[Fraction]]:
     """Rows 0..max_n of F, each read from the Stirling row of the same n as
-    F(n, k) = |s(n, k)| / (n!/k!) (see ``quotient_rows``)."""
-    from fractions import Fraction
-
+    F(n, k) = |s(n, k)| / (n!/k!) (see ``rows.quotient_rows``)."""
     return ([Fraction(a, b) for a, b in row] for row in quotient_rows(max_n))
 
 
@@ -122,8 +107,6 @@ def f_recurrence(max_n: int) -> RationalTriangle:
     """
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
-    from fractions import Fraction
-
     from .triangles import RationalTriangle
 
     row = [Fraction(1)]
@@ -156,8 +139,6 @@ def f_direct(n: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
         if sum(parts) == n:
             repeats = math.prod(map(math.factorial, Counter(parts).values()))
             total += orderings // repeats * (scale // math.prod(parts))
-    from fractions import Fraction
-
     return Fraction(total, scale)
 
 
@@ -177,8 +158,6 @@ def f_from_subsets(n: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     scale = math.factorial(n - 1)
     subsets = itertools.combinations(range(1, n), k - 1)
     total = sum(scale // math.prod(subset) for subset in subsets)
-    from fractions import Fraction
-
     return Fraction(math.factorial(k) * total, n * scale)
 
 
@@ -190,33 +169,12 @@ def f_from_partial_sums(n: int, k: int, column: Sequence[Fraction]) -> Fraction:
         raise ValueError(f"need 1 <= k <= n, got ({n}, {k})")
     if len(column) < n - k + 1:
         raise ValueError(f"coefficient column covers rows up to {k + len(column) - 2}, need {n - 1}")
-    from fractions import Fraction
-
     return Fraction(k, n) * sum(column[: n - k + 1], Fraction(0))
-
-
-def quotient_rows(max_n: int) -> Iterator[list[tuple[int, int]]]:
-    """Rows 0..max_n of the unreduced pairs (a, b) = (|s(n, k)|, n!/k!), with
-    n!/k! built as k walks down from n, so F(n, k) = a/b. ``f_rows`` reduces
-    each pair as a Fraction; ``d_rows`` and `table F` take one gcd per pair
-    in ints and build no Fraction."""
-    for n, stirling_row in enumerate(stirling_rows(max_n)):
-        row, falling = [], 1
-        for k in range(n, -1, -1):
-            row.append((abs(stirling_row[k]), falling))
-            falling *= k
-        row.reverse()
-        yield row
-
-
-def d_rows(max_n: int) -> Iterator[list[int]]:
-    """Rows 0..max_n of d in ints: d(n, k) = (n!/k!) // gcd(s(n, k), n!/k!)."""
-    return ([b // math.gcd(a, b) for a, b in row] for row in quotient_rows(max_n))
 
 
 def d_table(f: RationalTriangle) -> IntegerTriangle:
     """Elementwise denominators of the F triangle (den of 0 and 1 is 1): the
-    oracle for ``d_rows``, which `table d` reads."""
+    oracle for ``rows.d_rows``, which `table d` reads."""
     from .triangles import IntegerTriangle
 
     return IntegerTriangle([entry.denominator for entry in row] for row in f.rows)

@@ -23,6 +23,7 @@ from . import CHECK_NAMES
 from .binomial_poly import MonomialPoly, basis, falling_factorials, from_values
 from .constants import DEFAULT_Q_ENUM_CAP, c_table, lambda_product, q_direct, q_recurrence, q_table
 from .exact_arith import EnumerationCapError, _Record, lcm_list, lcm_range, vp_int
+from .rows import stirling_rows
 from .stirling import (
     DEFAULT_ENUM_CAP,
     d_table,
@@ -33,7 +34,6 @@ from .stirling import (
     f_rows,
     f_table,
     part_multisets,
-    stirling_rows,
 )
 
 # The oracle differentiates every basis polynomial up to degree n in the

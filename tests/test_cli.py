@@ -27,9 +27,8 @@ from ivpoly import (
     q_table,
     stirling_first,
 )
-from ivpoly.constants import c_rows
 from ivpoly.exact_arith import prime_divisors
-from ivpoly.stirling import d_rows
+from ivpoly.rows import c_rows, d_rows
 from ivpoly.verify import CHECK_NAMES, CheckReport, Counterexample
 from golden import GOLDEN_C, GOLDEN_LAMBDA, GOLDEN_Q, running_products_every_step
 
@@ -489,17 +488,17 @@ def test_table_and_seq_import_only_what_they_run():
         loaded = _imported_modules("-m", "ivpoly", *args)
         assert "ivpoly.exact_arith" in loaded
         assert loaded - startup & (unused | also_unused) == set(), args
-    # The integer tables and JSON output build no Fraction, no triangle and
-    # quote their cells without json.
-    for kind in ("F", "d", "c", "stirling"):
+    # Every table kind reads its rows from ``rows`` alone: no Fraction, no
+    # triangle, no oracle module, and JSON cells quoted without json.
+    for kind in ("F", "d", "c", "q", "stirling"):
         args = ["table", kind, "--max-n", "5", "--format", "json"]
         loaded = _imported_modules("-m", "ivpoly", *args)
-        assert "ivpoly.stirling" in loaded
+        assert "ivpoly.rows" in loaded
         assert loaded - startup & {
-            "fractions", "decimal", "numbers", "ivpoly.triangles", "json"
+            "ivpoly.stirling", "ivpoly.constants", "ivpoly.triangles",
+            "fractions", "decimal", "numbers", "json",
         } == set(), args
-    for kind in ("table q", "seq cn"):
-        assert "json" not in _imported_modules("-m", "ivpoly", *kind.split(), "--format", "json")
+    assert "json" not in _imported_modules("-m", "ivpoly", "seq", "cn", "--format", "json")
     verify = subprocess.run(
         [sys.executable, "-m", "ivpoly", "verify", "lemma1", "--max-n", "5"],
         capture_output=True, check=True,
@@ -521,6 +520,13 @@ def test_verify_and_the_polynomial_layer_import_no_triangle():
     loaded = _imported_modules("-c", "import ivpoly.binomial_poly")
     ours = {name for name in loaded if name.partition(".")[0] == "ivpoly"}
     assert ours == {"ivpoly", "ivpoly.binomial_poly"}
+
+
+def test_the_integer_rows_import_only_exact_arith():
+    loaded = _imported_modules("-c", "import ivpoly.rows")
+    ours = {name for name in loaded if name.partition(".")[0] == "ivpoly"}
+    assert ours == {"ivpoly", "ivpoly.exact_arith", "ivpoly.rows"}
+    assert "fractions" not in loaded
 
 
 def test_output_is_deterministic(capsys):

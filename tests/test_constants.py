@@ -21,7 +21,7 @@ from ivpoly import (
     q_table,
     vp_int,
 )
-from ivpoly.constants import c_rows
+from ivpoly.rows import c_rows
 from golden import GOLDEN_C, GOLDEN_LAMBDA, GOLDEN_Q, compositions_recursive
 
 

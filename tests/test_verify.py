@@ -24,7 +24,8 @@ from ivpoly import (
     run_check,
 )
 from ivpoly.exact_arith import vp_int
-from ivpoly.stirling import f_rows, part_multisets, stirling_rows
+from ivpoly.rows import stirling_rows
+from ivpoly.stirling import f_rows, part_multisets
 from ivpoly.verify import CHECK_NAMES, CheckReport
 from golden import lemma3_valuations_from_f
 
