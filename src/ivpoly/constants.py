@@ -11,8 +11,6 @@ and stays the oracle of the sequences that ``ivpoly seq lambda`` streams.
 ``q_recurrence`` (the lcm recurrence) and ``q_direct`` (enumeration) stay as
 its oracles. ``c_table`` folds the d-table by lcm and is what verify reads.
 The integer rows that `table c` and `table q` print live in ``rows``.
-The triangle class is imported where it is used, so the checks that build no
-triangle load none.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ import math
 from .exact_arith import EnumerationCapError, PrimeFactorization, lcm_list, primes_up_to
 from .rows import q_rows
 from .stirling import part_multisets
+from .triangles import IntegerTriangle
 
 # q_direct walks every multiset of k parts with sum <= n, an oracle-only route;
 # the cap stays 18, as the exit-3 boundary and its error message are pinned.
@@ -33,8 +32,6 @@ def c_table(d: IntegerTriangle) -> IntegerTriangle:
     """Column-wise lcm folds of the d-table, row for row: entry (n, k) is
     lcm of d(m, k) for k <= m <= n, and c(n, n) = d(n, n) opens column n.
     The oracle for ``rows.c_rows``, which `table c` reads."""
-    from .triangles import IntegerTriangle
-
     return IntegerTriangle(
         itertools.accumulate(d.rows, lambda row, d_row: [*map(math.lcm, row, d_row), d_row[-1]])
     )
@@ -67,8 +64,6 @@ def q_table(max_n: int) -> IntegerTriangle:
     big-by-small multiplication per entry that changes, with q(n, n) = 1,
     over one sieve of the primes up to max_n.
     """
-    from .triangles import IntegerTriangle
-
     return IntegerTriangle(q_rows(max_n))
 
 
@@ -81,8 +76,6 @@ def q_recurrence(max_n: int) -> IntegerTriangle:
     """
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
-    from .triangles import IntegerTriangle
-
     rows: list[list[int]] = [[1]]
     for n in range(1, max_n + 1):
         row = [1]

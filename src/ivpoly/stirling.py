@@ -9,10 +9,7 @@ F(n+1, k) = k/(n+1) * F(n, k-1) + n/(n+1) * F(n, k)) recompute the entries
 so that each can serve as an oracle for the others. The denominators of F
 form the d-table that the headline constants are folded from.
 The Stirling rows and the n!/k! pairs that F is read from live in ``rows``,
-with the other integer rows that `table` prints. The triangle classes are
-imported in the functions that build them, so the checks that stream rows
-load no triangle. ``compositions`` has no caller here: it is kept as the test
-oracle of the partition walk and for the benchmark tracer, which wraps it.
+with the other integer rows that `table` prints.
 """
 
 from __future__ import annotations
@@ -25,6 +22,7 @@ from fractions import Fraction
 
 from .exact_arith import EnumerationCapError
 from .rows import quotient_rows, stirling_rows
+from .triangles import IntegerTriangle, RationalTriangle, StirlingTable
 
 # The subset route walks all C(n-1, k-1) subsets per entry, about 4x more per
 # +2 in n, so both brute-force routes are reserved for oracle duty at small n.
@@ -78,8 +76,6 @@ def stirling_first(max_n: int) -> StirlingTable:
 
     Built from s(0, 0) = 1 by s(n+1, k) = s(n, k-1) - n*s(n, k).
     """
-    from .triangles import StirlingTable
-
     return StirlingTable(stirling_rows(max_n))
 
 
@@ -93,8 +89,6 @@ def f_table(max_n: int) -> RationalTriangle:
     """The F triangle up to row max_n, each entry k!/n! * |s(n, k)| reduced
     once from the integer Stirling row (see ``f_recurrence`` for the oracle).
     """
-    from .triangles import RationalTriangle
-
     return RationalTriangle(f_rows(max_n))
 
 
@@ -107,8 +101,6 @@ def f_recurrence(max_n: int) -> RationalTriangle:
     """
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
-    from .triangles import RationalTriangle
-
     row = [Fraction(1)]
     rows = [row]
     for n in range(max_n):
@@ -175,6 +167,4 @@ def f_from_partial_sums(n: int, k: int, column: Sequence[Fraction]) -> Fraction:
 def d_table(f: RationalTriangle) -> IntegerTriangle:
     """Elementwise denominators of the F triangle (den of 0 and 1 is 1): the
     oracle for ``rows.d_rows``, which `table d` reads."""
-    from .triangles import IntegerTriangle
-
     return IntegerTriangle([entry.denominator for entry in row] for row in f.rows)

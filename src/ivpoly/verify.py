@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from . import CHECK_NAMES
-from .binomial_poly import MonomialPoly, basis, falling_factorials, from_values
+from .binomial_poly import BinomialPoly, MonomialPoly, basis, falling_factorials, from_values
 from .constants import DEFAULT_Q_ENUM_CAP, c_table, lambda_product, q_direct, q_recurrence, q_table
 from .exact_arith import EnumerationCapError, _Record, lcm_list, lcm_range, vp_int
 from .rows import stirling_rows
@@ -236,12 +236,16 @@ def check_lemma1(max_n: int = 16) -> CheckReport:
     for n, row in enumerate(itertools.islice(f_rows(max_n), 1, None), start=1):
         column.append(row[1])
         slope = basis(n).derivative(1, column)
+        # The slope is its integer numerator polynomial over one common
+        # denominator, so each point takes one int evaluation and one division.
+        scale = math.lcm(*(c.denominator for c in slope.coeffs))
+        numerator = BinomialPoly([c.numerator * (scale // c.denominator) for c in slope.coeffs])
         total = 0
         for k in range(n):
-            value = slope.eval_int(k)
+            value = numerator.eval_int(k)
             if value == 0:
                 return _fail(name, tested, f"n={n}, k={k}", "slope=0", "expected nonzero")
-            total += Fraction(1, abs(value))
+            total += Fraction(scale, abs(value))
         if total / n != 2 ** (n - 1):
             return _fail(name, tested, f"n={n}", f"mean={total / n}", f"expected={2 ** (n - 1)}")
     return CheckReport(name, tested, True)

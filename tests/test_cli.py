@@ -510,13 +510,8 @@ def test_table_and_seq_import_only_what_they_run():
     assert loaded - startup & {"inspect"} == set()
 
 
-def test_verify_and_the_polynomial_layer_import_no_triangle():
-    # Only proposition1 and theorem2-4 hold an F triangle; lemma1 streams F
-    # rows, and BinomialPoly.derivative reads a column, not a triangle.
-    for check in ("lemma1", "lemma2", "lemma3", "corollary1", "theorem1"):
-        loaded = _imported_modules("-m", "ivpoly", "verify", check, "--max-n", "5")
-        assert "ivpoly.verify" in loaded
-        assert "ivpoly.triangles" not in loaded, check
+def test_the_polynomial_layer_imports_no_other_module():
+    # BinomialPoly.derivative reads a column of F, not a triangle.
     loaded = _imported_modules("-c", "import ivpoly.binomial_poly")
     ours = {name for name in loaded if name.partition(".")[0] == "ivpoly"}
     assert ours == {"ivpoly", "ivpoly.binomial_poly"}
