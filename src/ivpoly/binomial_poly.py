@@ -108,24 +108,20 @@ class BinomialPoly(_Poly):
     def eval_int(self, x: int) -> Fraction | int:
         """Exact value at an integer (negative allowed), via C(x, j) products.
 
-        For x >= 0 the sum stops at j = x, as C(x, j) = 0 for j > x. The terms
-        are summed as ints over the lcm of their coefficients' denominators and
-        divided once; the value is an int when every nonzero coefficient is
-        one, as the sum of all the terms themselves would be.
+        For x >= 0 the sum stops at j = x, as C(x, j) = 0 for j > x. Each term
+        is added in its coefficient's type; the value is an int exactly when
+        every nonzero coefficient is one, as the sum of all the terms would be.
         """
         coeffs = self.coeffs if x < 0 else self.coeffs[: x + 1]
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        total = 0
+        total = 0 if all(isinstance(c, int) for c in self.coeffs if c) else Fraction(0)
         binom = 1  # C(x, 0)
         for j, c in enumerate(coeffs):
             if j > 0:
                 # exact: C(x, j-1) * (x - j + 1) is divisible by j
                 binom = binom * (x - j + 1) // j
             if c:
-                total += c.numerator * (scale // c.denominator) * binom
-        if all(isinstance(c, int) for c in self.coeffs if c):
-            return total
-        return Fraction(total, scale)
+                total += c * binom
+        return total
 
     def is_integer_valued(self) -> bool:
         """True iff every basis coefficient is an integer."""

@@ -89,8 +89,8 @@ def part_multisets_filtered(max_total, parts):
 
 
 def eval_int_loop(poly, x):
-    """The loop that ``BinomialPoly.eval_int`` replaced: one term per
-    coefficient, added in the coefficient's own type."""
+    """C(x, j) times coefficient j for every coefficient, each term added in
+    its coefficient's own type."""
     total = 0
     binom = 1  # C(x, 0)
     for j, c in enumerate(poly.coeffs):
@@ -102,9 +102,9 @@ def eval_int_loop(poly, x):
 
 
 def eval_int_every_term(poly, x):
-    """The loop that ``BinomialPoly.eval_int`` replaced: every coefficient's
-    term summed over the lcm of all the denominators, though C(x, j) = 0 for
-    0 <= x < j."""
+    """C(x, j) times coefficient j for every coefficient, the terms summed as
+    ints over the lcm of all the denominators and divided once, though
+    C(x, j) = 0 for 0 <= x < j."""
     scale = math.lcm(*(c.denominator for c in poly.coeffs))
     total = 0
     binom = 1  # C(x, 0)

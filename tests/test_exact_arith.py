@@ -157,13 +157,6 @@ def test_prime_divisors_edges():
         prime_divisors(-1)
 
 
-def test_denominator_of():
-    assert Fraction(11, 12).denominator == 12
-    assert Fraction(0).denominator == 1
-    assert (7).denominator == 1
-    assert Fraction(-3, 6).denominator == 2
-
-
 def test_primes_up_to():
     assert primes_up_to(10) == [2, 3, 5, 7]
     assert primes_up_to(1) == []
@@ -254,12 +247,3 @@ def test_vp_rat_is_additive(r, s, p):
     if r == 0 or s == 0:
         return
     assert vp_rat(r * s, p) == vp_rat(r, p) + vp_rat(s, p)
-
-
-@given(st.fractions(min_value=Fraction(-30), max_value=Fraction(30), max_denominator=48))
-def test_denominator_is_minimal(r):
-    d = r.denominator
-    assert (d * r).denominator == 1
-    for smaller in range(1, d):
-        if d % smaller == 0:
-            assert (smaller * r).denominator != 1
