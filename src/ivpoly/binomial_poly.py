@@ -6,7 +6,7 @@ one slot, and a polynomial takes integer values on all integers exactly when
 every coefficient is an integer. Differentiation is done by expanding the
 derivation operator in powers of the forward difference; the k-th derivative
 reads the rational expansion coefficients as column k of F, supplied as a
-plain sequence (see ``stirling.f_rows``), so this module imports nothing else
+plain sequence (see ``rows.quotient_rows``), so this module imports nothing else
 from the package. A monomial-basis representation with the ordinary power
 rule is kept alongside as an independent route to the same derivatives.
 

@@ -29,9 +29,10 @@ def stirling_rows(max_n: int) -> Iterator[list[int]]:
 
 def quotient_rows(max_n: int) -> Iterator[list[tuple[int, int]]]:
     """Rows 0..max_n of the unreduced pairs (a, b) = (|s(n, k)|, n!/k!), with
-    n!/k! built as k walks down from n, so F(n, k) = a/b. ``stirling.f_rows``
-    reduces each pair as a Fraction; ``d_rows`` and `table F` take one gcd per
-    pair in ints and build no Fraction."""
+    n!/k! built as k walks down from n, so F(n, k) = a/b. Every F reader takes
+    its pairs from here: `table F` and ``d_rows`` take one gcd per pair in ints
+    and build no Fraction; ``stirling.f_table`` reduces each pair as a
+    Fraction, and ``verify.check_lemma1`` only the pair at k = 1."""
     for n, stirling_row in enumerate(stirling_rows(max_n)):
         row, falling = [], 1
         for k in range(n, -1, -1):

@@ -79,17 +79,12 @@ def stirling_first(max_n: int) -> StirlingTable:
     return StirlingTable(stirling_rows(max_n))
 
 
-def f_rows(max_n: int) -> Iterator[list[Fraction]]:
-    """Rows 0..max_n of F, each read from the Stirling row of the same n as
-    F(n, k) = |s(n, k)| / (n!/k!) (see ``rows.quotient_rows``)."""
-    return ([Fraction(a, b) for a, b in row] for row in quotient_rows(max_n))
-
-
 def f_table(max_n: int) -> RationalTriangle:
-    """The F triangle up to row max_n, each entry k!/n! * |s(n, k)| reduced
-    once from the integer Stirling row (see ``f_recurrence`` for the oracle).
+    """The F triangle up to row max_n, each entry F(n, k) = |s(n, k)| / (n!/k!)
+    reduced once from its ``rows.quotient_rows`` pair (see ``f_recurrence``
+    for the oracle).
     """
-    return RationalTriangle(f_rows(max_n))
+    return RationalTriangle([Fraction(a, b) for a, b in row] for row in quotient_rows(max_n))
 
 
 def f_recurrence(max_n: int) -> RationalTriangle:

@@ -7,8 +7,9 @@ lemma3 certifies the Stirling quotient k!/n! * |s(n, k)|, not ``f_table``. Each
 check declares its default ranges in its own signature, builds the tables it
 reads, and takes ``enum_cap`` only if capped, passing it to _cap before any
 other work. ``BinomialPoly.derivative`` and ``f_from_partial_sums`` read one
-column of F: lemma1 keeps column 1 as ``f_rows`` streams; theorem3 and
-proposition1 cut each from their F table. run_check sets every range to max_n.
+column of F: lemma1 reduces column 1 from the ``rows.quotient_rows`` pairs
+that `table F` prints; theorem3 and proposition1 cut each from their F table.
+run_check sets every range to max_n.
 Nothing here is randomized, hence two runs with the same arguments produce
 identical reports.
 """
@@ -23,7 +24,7 @@ from . import CHECK_NAMES
 from .binomial_poly import BinomialPoly, MonomialPoly, basis, falling_factorials, from_values
 from .constants import DEFAULT_Q_ENUM_CAP, c_table, lambda_product, q_direct, q_recurrence, q_table
 from .exact_arith import EnumerationCapError, _Record, lcm_list, lcm_range, vp_int
-from .rows import stirling_rows
+from .rows import quotient_rows, stirling_rows
 from .stirling import (
     DEFAULT_ENUM_CAP,
     d_table,
@@ -31,7 +32,6 @@ from .stirling import (
     f_from_partial_sums,
     f_from_subsets,
     f_recurrence,
-    f_rows,
     f_table,
     part_multisets,
 )
@@ -229,12 +229,12 @@ def check_theorem4(
 def check_lemma1(max_n: int = 16) -> CheckReport:
     """Mean of reciprocal absolute slopes of C(X, n) at 0..n-1 is 2**(n-1).
 
-    The slope of C(X, n) reads F(1, 1), ..., F(n, 1), column 1 of F, which is
-    all that is kept of each row as ``f_rows`` streams them."""
+    The slope of C(X, n) reads F(1, 1), ..., F(n, 1), column 1 of F, so of
+    each ``quotient_rows`` row only the pair at k = 1 is reduced and kept."""
     name, tested = "lemma1", f"1 <= n <= {max_n}"
     column = []
-    for n, row in enumerate(itertools.islice(f_rows(max_n), 1, None), start=1):
-        column.append(row[1])
+    for n, row in enumerate(itertools.islice(quotient_rows(max_n), 1, None), start=1):
+        column.append(Fraction(*row[1]))
         slope = basis(n).derivative(1, column)
         # The slope is its integer numerator polynomial over one common
         # denominator, so each point takes one int evaluation and one division.

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from ivpoly.binomial_poly import BinomialPoly
 from ivpoly.exact_arith import primes_up_to, vp_rat
-from ivpoly.stirling import compositions, f_rows
+from ivpoly.stirling import compositions, f_table
 
 # Triangle of the minimal k-th-derivative multipliers c(n, k), rows n = 0..10.
 GOLDEN_C = [
@@ -145,7 +145,7 @@ def lemma3_valuations_from_f(max_n, primes):
     """The route ``verify.check_lemma3`` replaced: vp(F(k*p, k)) of the reduced
     Fraction in each F row, as {(k, p): valuation} for 1 <= k*p <= max_n."""
     out = {}
-    for n, row in enumerate(f_rows(max_n)):
+    for n, row in enumerate(f_table(max_n).rows):
         for p in primes:
             k = n // p
             if k and n % p == 0:

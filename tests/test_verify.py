@@ -24,8 +24,8 @@ from ivpoly import (
     run_check,
 )
 from ivpoly.exact_arith import vp_int
-from ivpoly.rows import stirling_rows
-from ivpoly.stirling import f_rows, part_multisets
+from ivpoly.rows import quotient_rows, stirling_rows
+from ivpoly.stirling import part_multisets
 from ivpoly.verify import CHECK_NAMES, CheckReport
 from golden import lemma3_valuations_from_f
 
@@ -53,8 +53,8 @@ def _with_entry(triangle, n, k, value):
 
 
 def _rows_with(rows_of, *entries):
-    """A row generator, stirling_rows or f_rows, with each (n, k, value) entry
-    replaced (fault injection)."""
+    """A row generator, stirling_rows or quotient_rows, with each (n, k, value)
+    entry replaced (fault injection)."""
     rows = [list(row) for row in rows_of(8)]
     for n, k, value in entries:
         rows[n][k] = value
@@ -181,7 +181,7 @@ class TestChecksCanFail:
         assert "n=4" in report.counterexample.params
 
     def test_lemma1(self, monkeypatch):
-        monkeypatch.setattr(verify, "f_rows", _rows_with(f_rows, (3, 1, Fraction(2, 3))))
+        monkeypatch.setattr(verify, "quotient_rows", _rows_with(quotient_rows, (3, 1, (2, 3))))
         report = verify.check_lemma1(4)
         assert not report.passed
         assert str(report.counterexample) == "n=3: mean=3 vs expected=4"
@@ -241,7 +241,7 @@ class TestChecksCanFail:
          lambda: verify.check_theorem3(0, 6), "parts=(1, 3): den=3 vs k!*c=2 not a multiple"),
         ("c_table", lambda tables: lambda d: _with_entry(tables[1], 4, 2, 7),
          lambda: verify.check_theorem4(0, 6), "n=4: oracle lcm=12 vs lcm(c row)=84"),
-        ("f_rows", lambda tables: _rows_with(f_rows, (1, 1, 0)),
+        ("quotient_rows", lambda tables: _rows_with(quotient_rows, (1, 1, (0, 1))),
          lambda: verify.check_lemma1(2), "n=1, k=0: slope=0 vs expected nonzero"),
     ],
     ids=["theorem2-divisibility", "theorem3-witness-bound", "theorem4-oracle-lcm", "lemma1-slope"],
@@ -289,8 +289,15 @@ def test_proposition2_names_a_recurrence_mismatch(monkeypatch, small_tables):
 
 
 def test_lemma1_builds_no_f_table(monkeypatch):
-    # lemma1 reads column 1 of F off the streamed rows, so no triangle is built.
+    # lemma1 reads column 1 of F off the streamed pair rows, so no triangle is built.
     monkeypatch.setattr(verify, "f_table", lambda *args, **kwargs: pytest.fail("built F"))
+    assert verify.check_lemma1(30).passed
+
+
+def test_lemma1_reads_only_entry_1_of_each_pair_row(monkeypatch):
+    # Of each (|s(n, k)|, n!/k!) row, lemma1 reduces the pair at k = 1 alone.
+    rows = [[pair if k == 1 else None for k, pair in enumerate(row)] for row in quotient_rows(30)]
+    monkeypatch.setattr(verify, "quotient_rows", lambda max_n: iter(rows[: max_n + 1]))
     assert verify.check_lemma1(30).passed
 
 
