@@ -252,11 +252,11 @@ def check_lemma1(max_n: int = 16) -> CheckReport:
 
 
 def check_corollary1(max_n: int = 64) -> CheckReport:
-    """lcm(1..n) >= 2**(n-1)."""
+    """lcm(1..n) >= 2**(n-1), folding lcm(1..n) once as n grows."""
     name, tested = "corollary1", f"1 <= n <= {max_n}"
-    for n in range(1, max_n + 1):
-        if lcm_range(n) < 2 ** (n - 1):
-            return _fail(name, tested, f"n={n}", f"lcm={lcm_range(n)}", f"bound={2 ** (n - 1)}")
+    for n, lcm in enumerate(itertools.accumulate(range(1, max_n + 1), math.lcm), start=1):
+        if lcm < 2 ** (n - 1):
+            return _fail(name, tested, f"n={n}", f"lcm={lcm}", f"bound={2 ** (n - 1)}")
     return CheckReport(name, tested, True)
 
 

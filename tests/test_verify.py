@@ -148,21 +148,21 @@ class TestChecksCanFail:
         monkeypatch.setattr(verify, "lcm_range", lambda n: 1)
         report = verify.check_theorem1(4)
         assert not report.passed
-        assert "n=2" in report.counterexample.params
+        assert str(report.counterexample) == "n=2: oracle=2 vs lcm(1..n)=1"
 
     def test_theorem2(self, monkeypatch, small_tables):
         _, c, _ = small_tables
         monkeypatch.setattr(verify, "c_table", lambda d: _with_entry(c, 4, 2, 7))
         report = verify.check_theorem2(6, 6)
         assert not report.passed
-        assert "n=4, k=2" in report.counterexample.params
+        assert str(report.counterexample) == "n=4, k=2: c=7 vs oracle=12"
 
     def test_theorem3(self, monkeypatch, small_tables):
         _, _, q = small_tables
         monkeypatch.setattr(verify, "q_table", lambda max_n: _with_entry(q, 2, 1, 5))
         report = verify.check_theorem3(6, 6)
         assert not report.passed
-        assert report.counterexample is not None
+        assert str(report.counterexample) == "n=2, k=1: k!*c=2 vs q=5 not a divisor"
 
     def test_theorem3_witness(self, monkeypatch, small_tables):
         f, _, _ = small_tables
@@ -170,15 +170,14 @@ class TestChecksCanFail:
         # The broken F also breaks c, so the divisibility half is left out.
         report = verify.check_theorem3(0, 6)
         assert not report.passed
-        assert report.counterexample.params.startswith("parts=")
-        assert report.counterexample.rhs.startswith("expected=")
+        assert str(report.counterexample) == "parts=(1, 3): derivative(0)=5/13 vs expected=2/3"
 
     def test_theorem4(self, monkeypatch, small_tables):
         _, c, _ = small_tables
         monkeypatch.setattr(verify, "c_table", lambda d: _with_entry(c, 4, 2, 7))
         report = verify.check_theorem4(6, 6)
         assert not report.passed
-        assert "n=4" in report.counterexample.params
+        assert str(report.counterexample) == "n=4: lcm(c row)=84 vs lcm(q row)=12, prime product=12"
 
     def test_lemma1(self, monkeypatch):
         monkeypatch.setattr(verify, "quotient_rows", _rows_with(quotient_rows, (3, 1, (2, 3))))
@@ -190,7 +189,7 @@ class TestChecksCanFail:
         monkeypatch.setattr(verify, "vp_int", lambda a, p: a)
         report = verify.check_lemma2(10)
         assert not report.passed
-        assert report.counterexample.params == "a=1, p=2"
+        assert str(report.counterexample) == "a=1, p=2: vp=1 vs a/p=1/2"
 
     def test_lemma3(self, monkeypatch):
         # s(4, 2) = 11 is odd; 12 has vp_2 = 2, so vp_2(F(4, 2)) reads 2 - 2 = 0.
@@ -213,23 +212,25 @@ class TestChecksCanFail:
         assert str(report.counterexample) == "k=2, p=2: vp=inf vs expected=-2"
 
     def test_corollary1(self, monkeypatch):
-        monkeypatch.setattr(verify, "lcm_range", lambda n: 1)
+        # Every lcm reads 1, where the running fold of lcm(1..n) reads it.
+        monkeypatch.setattr(verify.math, "lcm", lambda a, b: 1)
         report = verify.check_corollary1(8)
         assert not report.passed
+        assert str(report.counterexample) == "n=2: lcm=1 vs bound=2"
 
     def test_proposition1(self, monkeypatch, small_tables):
         f, _, _ = small_tables
         monkeypatch.setattr(verify, "f_table", lambda max_n: _with_entry(f, 4, 2, Fraction(11, 13)))
         report = verify.cross_check_f(8)
         assert not report.passed
-        assert "n=4, k=2" in report.counterexample.params
+        assert str(report.counterexample) == "n=4, k=2, route=direct: 11/12 vs table=11/13"
 
     def test_proposition2(self, monkeypatch, small_tables):
         _, _, q = small_tables
         monkeypatch.setattr(verify, "q_table", lambda max_n: _with_entry(q, 4, 2, 7))
         report = verify.check_proposition2(8)
         assert not report.passed
-        assert "n=4, k=2" in report.counterexample.params
+        assert str(report.counterexample) == "n=4, k=2: table=7 vs enumeration=12"
 
 
 @pytest.mark.parametrize(
@@ -322,6 +323,20 @@ def test_lemma3_at_600_runs_in_well_under_a_second():
     # Reducing every F entry took 3.9 s at 600; the Stirling rows take about 0.06 s.
     start = time.perf_counter()
     report = verify.check_lemma3(600)
+    assert time.perf_counter() - start < 0.5
+    assert report.passed
+
+
+def test_corollary1_reads_no_lcm_range(monkeypatch):
+    # corollary1 folds its own running lcm; theorem1 is the check that reads lcm_range.
+    monkeypatch.setattr(verify, "lcm_range", lambda n: pytest.fail("read lcm_range"))
+    assert verify.check_corollary1(400).passed
+
+
+def test_corollary1_at_3000_runs_in_well_under_a_second():
+    # A fresh lcm_range(n) for every n took about 3 s at 3000; one running fold takes milliseconds.
+    start = time.perf_counter()
+    report = verify.check_corollary1(3000)
     assert time.perf_counter() - start < 0.5
     assert report.passed
 
