@@ -147,12 +147,7 @@ def _factored_terms(divisors: Iterable[Iterable[int]]) -> Iterator[str]:
     pieces: dict[int, str] = {}
     for n, primes in enumerate(divisors):
         for p in primes:
-            if p != n:
-                pieces[p] = f"{p}^{n // p}"
-            elif _verified_prime(p):
-                pieces[p] = str(p)
-            else:
-                raise ValueError(f"expected a prime, got {p}")
+            pieces[p] = f"{p}^{n // p}" if p != n else str(_verified_prime(p))
         yield " * ".join(pieces.values()) or "1"
 
 

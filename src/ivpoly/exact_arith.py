@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 
-# vp_int, PrimeFactorization and cli._factored_terms (seq lambda --factored) read
-# primality from a sieve below this bound (16 MB at most), by trial division from it up.
+# _verified_prime, the primality gate of vp_int, PrimeFactorization and seq lambda
+# --factored, reads a sieve below this bound (16 MB at most), trial division from it up.
 SIEVE_LIMIT = 2**24
 
 
@@ -32,8 +32,9 @@ class EnumerationCapError(RuntimeError):
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic trial division, O(sqrt(p)) divisions; _verified_prime
-    calls it for p >= SIEVE_LIMIT."""
+    """Deterministic trial division, O(sqrt(p)) divisions; _verified_prime, the
+    gate of vp_int, PrimeFactorization and seq lambda --factored, calls it for
+    p >= SIEVE_LIMIT."""
     if p < 2:
         return False
     if p % 2 == 0:
@@ -51,28 +52,30 @@ def is_prime(p: int) -> bool:
 _PRIME_FLAGS = bytearray()
 
 
-def _verified_prime(p: int) -> bool:
-    """Whether p is prime, read from the cached sieve; as each sieve doubles the
-    last, verifying the primes up to N sieves O(N) numbers in all.
-    p >= SIEVE_LIMIT falls back to is_prime."""
-    if p < 2:
-        return False
-    if p >= SIEVE_LIMIT:
-        return is_prime(p)
-    if p >= len(_PRIME_FLAGS):
-        size = max(len(_PRIME_FLAGS), 1024)
-        while size <= p:
-            size *= 2
-        _PRIME_FLAGS[:] = _sieve(size - 1)
-    return bool(_PRIME_FLAGS[p])
+def _verified_prime(p: int) -> int:
+    """The primality gate: p itself when p is a prime int (not a bool or a
+    float), else ValueError. Below SIEVE_LIMIT it reads the cached sieve, and
+    as each sieve doubles the last, verifying the primes up to N sieves O(N)
+    numbers in all; from SIEVE_LIMIT up it falls back to is_prime."""
+    if type(p) is int and 2 <= p < SIEVE_LIMIT:
+        if p >= len(_PRIME_FLAGS):
+            size = max(len(_PRIME_FLAGS), 1024)
+            while size <= p:
+                size *= 2
+            _PRIME_FLAGS[:] = _sieve(size - 1)
+        if _PRIME_FLAGS[p]:
+            return p
+    elif type(p) is int and is_prime(p):  # p < 2 or p >= SIEVE_LIMIT
+        return p
+    raise ValueError(f"expected a prime, got {p}")
 
 
 def vp_int(a: int, p: int) -> int:
-    """Largest e such that p**e divides a, for a >= 1 and p prime."""
-    if a <= 0:
-        raise ValueError(f"valuation needs a positive integer, got {a}")
-    if not _verified_prime(p):
-        raise ValueError(f"expected a prime, got {p}")
+    """Largest e such that p**e divides a, for ints a >= 1 and p prime; a float
+    or a bool is refused, as in vp_rat."""
+    if type(a) is not int or a <= 0:
+        raise ValueError(f"valuation needs a positive integer, got {a!r}")
+    _verified_prime(p)
     e = 0
     while a % p == 0:
         a //= p
@@ -216,8 +219,7 @@ class PrimeFactorization(_Record):
                 raise ValueError(f"primes and exponents must be ints, got {p!r}^{e!r}")
             if p <= previous:
                 raise ValueError(f"primes must be strictly increasing, got {p} after {previous}")
-            if not _verified_prime(p):
-                raise ValueError(f"expected a prime, got {p}")
+            _verified_prime(p)
             if e < 1:
                 raise ValueError(f"exponents must be >= 1, got {p}^{e}")
             previous = p

@@ -15,7 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ivpoly.cli as cli
+import ivpoly.exact_arith as exact_arith
 from ivpoly import (
+    PrimeFactorization,
     c_table,
     d_table,
     f_recurrence,
@@ -26,6 +28,7 @@ from ivpoly import (
     primes_up_to,
     q_table,
     stirling_first,
+    vp_int,
 )
 from ivpoly.exact_arith import prime_divisors
 from ivpoly.rows import c_rows, d_rows
@@ -261,19 +264,25 @@ def test_seq_lambda_factored_is_the_closed_form_at_the_benchmark_top(capsys):
 
 
 def test_factored_terms_pass_each_prime_through_the_gate_once(monkeypatch):
+    # The fault goes into the real gate's sieve, so it reaches all three readers
+    # of the gate: seq lambda --factored, vp_int and PrimeFactorization.
+    faulty = exact_arith._sieve(1023)
+    faulty[7] = 0
+    monkeypatch.setattr(exact_arith, "_PRIME_FLAGS", faulty)
     calls = []
-
-    def gate(p):
-        calls.append(p)
-        return p != 7
-
-    monkeypatch.setattr(cli, "_verified_prime", gate)
-    with pytest.raises(ValueError, match="^expected a prime, got 7$"):
+    real = exact_arith._verified_prime
+    monkeypatch.setattr(cli, "_verified_prime", lambda p: calls.append(p) or real(p))
+    refusal = "^expected a prime, got 7$"
+    with pytest.raises(ValueError, match=refusal):
         list(cli._factored_terms(prime_divisors(1000)))
     assert calls == [2, 3, 5, 7]
+    with pytest.raises(ValueError, match=refusal):
+        vp_int(49, 7)
+    with pytest.raises(ValueError, match=refusal):
+        PrimeFactorization(((7, 1),))
 
     calls.clear()
-    monkeypatch.setattr(cli, "_verified_prime", lambda p: calls.append(p) or True)
+    monkeypatch.setattr(exact_arith, "_PRIME_FLAGS", exact_arith._sieve(1023))
     terms = list(cli._factored_terms(prime_divisors(1000)))
     assert terms[-1] == str(lambda_product(1000))
     assert calls == primes_up_to(1000)  # pi(1000) = 168 calls for 1001 terms

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -33,15 +34,18 @@ def test_vp_int(a, p, expected):
     assert vp_int(a, p) == expected
 
 
-@pytest.mark.parametrize("a", [0, -3])
+# A float is refused rather than read as its binary expansion (1e300 would give
+# 946), and True is no positive integer though bool subclasses int.
+@pytest.mark.parametrize("a", [0, -3, 8.0, 1e300, True])
 def test_vp_int_rejects_nonpositive(a):
-    with pytest.raises(ValueError):
+    message = f"valuation needs a positive integer, got {a!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         vp_int(a, 2)
 
 
-@pytest.mark.parametrize("p", [1, 4, 9, -5])
+@pytest.mark.parametrize("p", [1, 4, 9, -5, 2.0])
 def test_vp_int_rejects_composite(p):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'expected a prime, got {p}')}$"):
         vp_int(10, p)
 
 
@@ -220,6 +224,17 @@ class TestPrimeFactorization:
                 assert not is_prime(p), p
             else:
                 assert is_prime(p), p
+
+    def test_gate_returns_the_prime_or_raises(self, monkeypatch):
+        # From an empty cache: 1031 grows the sieve past its first 1024 entries,
+        # and 16777259, the least prime above SIEVE_LIMIT, is trial divided.
+        monkeypatch.setattr(exact_arith, "_PRIME_FLAGS", bytearray())
+        for p in (2, 1021, 1031, 16777259):
+            assert exact_arith._verified_prime(p) == p
+        assert len(exact_arith._PRIME_FLAGS) == 2048
+        for p in (0, 1, -3, 4, 2.0, 2**24, 2**24 + 1):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'expected a prime, got {p}')}$"):
+                exact_arith._verified_prime(p)
 
     def test_primes_from_the_sieve_limit_up_are_trial_divided(self, monkeypatch):
         # From an empty cache: a sieve past 2**24 would take 16 MB or more.
