@@ -6,9 +6,10 @@ one slot, and a polynomial takes integer values on all integers exactly when
 every coefficient is an integer. Differentiation is done by expanding the
 derivation operator in powers of the forward difference; the k-th derivative
 reads the rational expansion coefficients as column k of F, supplied as a
-plain sequence (see ``rows.quotient_rows``), so this module imports nothing else
-from the package. A monomial-basis representation with the ordinary power
-rule is kept alongside as an independent route to the same derivatives.
+plain sequence (see ``rows.quotient_rows``), and ``to_monomial`` takes its
+Stirling rows from ``rows.stirling_rows``. A monomial-basis representation
+with the ordinary power rule is kept alongside as an independent route to
+the same derivatives.
 
 Every number keeps the exact type its arithmetic gives: exact ints stay ints,
 and a Fraction appears only where a division happens (the 1/j! of
@@ -17,22 +18,11 @@ and a Fraction appears only where a division happens (the 1/j! of
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-
-def falling_factorials() -> Iterator[list[int]]:
-    """Monomial coefficients of X(X-1)...(X-j+1) = j! * C(X, j) for j = 0, 1, ...
-
-    Row j lists the coefficients of X^0 .. X^j; row j + 1 is row j times
-    (X - j).
-    """
-    row = [1]
-    for j in itertools.count():
-        yield row
-        row = [a - j * b for a, b in zip([0, *row], [*row, 0])]
+from .rows import stirling_rows
 
 
 class _Poly:
@@ -128,12 +118,13 @@ class BinomialPoly(_Poly):
         return all(c.denominator == 1 for c in self.coeffs)
 
     def to_monomial(self) -> "MonomialPoly":
-        """Exact change of basis to powers of X: C(X, j) = falling row j / j!."""
+        """Exact change of basis to powers of X: C(X, j) = s(j, .)/j!, as
+        j! * C(X, j) = X(X-1)...(X-j+1) = sum over i of s(j, i) * X^i."""
         out = [0] * len(self.coeffs)
-        for j, (c, falling) in enumerate(zip(self.coeffs, falling_factorials())):
+        for j, (c, row) in enumerate(zip(self.coeffs, stirling_rows(len(self.coeffs)))):
             if c:
                 factorial = math.factorial(j)
-                for i, s in enumerate(falling):
+                for i, s in enumerate(row):
                     if s:
                         out[i] += c * Fraction(s, factorial)
         return MonomialPoly(out)
@@ -148,12 +139,7 @@ class MonomialPoly(_Poly):
         """k-th derivative by the power rule."""
         if k < 0:
             raise ValueError(f"derivative order must be >= 0, got {k}")
-        deg = self.degree
-        if deg is None or k > deg:
-            return MonomialPoly()
-        return MonomialPoly(
-            self.coeffs[i] * math.perm(i, k) for i in range(k, deg + 1)
-        )
+        return MonomialPoly(self.coeffs[i] * math.perm(i, k) for i in range(k, len(self.coeffs)))
 
     def eval(self, x: Fraction | int) -> Fraction | int:
         total = 0
@@ -162,10 +148,7 @@ class MonomialPoly(_Poly):
         return total
 
     def to_binomial(self) -> BinomialPoly:
-        deg = self.degree
-        if deg is None:
-            return BinomialPoly()
-        return from_values([self.eval(x) for x in range(deg + 1)])
+        return from_values([self.eval(x) for x in range(len(self.coeffs))])
 
 
 def basis(n: int) -> BinomialPoly:

@@ -4,7 +4,8 @@ Each generator yields rows 0..max_n of one triangle, row n made in ints from
 the row above or from the Stirling row of the same n. The rule of this module
 is integers only: no ``Fraction`` and no triangle class, so a table command
 loads neither. The ``Fraction`` routes, the triangle builders and the oracles
-that verify reads live in ``stirling`` and ``constants``.
+that verify reads live in ``stirling`` and ``constants``. Outside ``table``,
+``stirling_rows`` feeds ``BinomialPoly.to_monomial`` and the multiplier oracle.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 
 from . import CHECK_NAMES
-from .binomial_poly import BinomialPoly, MonomialPoly, basis, falling_factorials, from_values
+from .binomial_poly import BinomialPoly, MonomialPoly, basis, from_values
 from .constants import DEFAULT_Q_ENUM_CAP, c_table, lambda_product, q_direct, q_recurrence, q_table
 from .exact_arith import EnumerationCapError, _Record, lcm_list, lcm_range, vp_int
 from .rows import quotient_rows, stirling_rows
@@ -94,21 +94,21 @@ def minimal_multiplier_oracle(n: int, k: int, cap: int = DEFAULT_ORACLE_CAP) -> 
     integer-valued polynomial of degree <= n is an integer combination of
     them, and P -> a * P^(k) is linear, so integrality on the basis implies
     integrality everywhere. The route runs in integers: m! * C(X, m) is the
-    falling factorial X(X-1)...(X-m+1), whose monomial coefficients are
-    integers, and its k-th derivative by the power rule, converted back to
-    the binomial basis by differences of its values, has integer
-    coefficients D_j. C(X, m)^(k) then has coefficients D_j / m!, with
-    denominators m! / gcd(m!, D_j), and the answer is the lcm of those over
-    k <= m <= n; for k > n it is 1. No F table is read, so this route stays
-    independent of the difference-expansion machinery it is used to certify.
+    falling factorial X(X-1)...(X-m+1), whose monomial coefficients are the
+    signed Stirling row s(m, 0), ..., s(m, m) of ``rows.stirling_rows``, and
+    its k-th derivative by the power rule, converted back to the binomial
+    basis by differences of its values, has integer coefficients D_j.
+    C(X, m)^(k) then has coefficients D_j / m!, with denominators
+    m! / gcd(m!, D_j), and the answer is the lcm of those over k <= m <= n;
+    for k > n it is 1. No F table is read, so this route stays independent
+    of the difference-expansion machinery it is used to certify.
     """
     if n < 0 or k < 0:
         raise ValueError(f"need n, k >= 0, got ({n}, {k})")
     if n > cap:
         raise EnumerationCapError("minimal multiplier oracle", n, cap)
     out = 1
-    rows = itertools.islice(falling_factorials(), k, n + 1)
-    for m, row in enumerate(rows, start=k):
+    for m, row in enumerate(itertools.islice(stirling_rows(n), k, None), start=k):
         scale = math.factorial(m)
         for coeff in MonomialPoly(row).derivative(k).to_binomial().coeffs:
             out = math.lcm(out, scale // math.gcd(scale, coeff))
@@ -285,7 +285,9 @@ def check_lemma3(max_n: int = 30) -> CheckReport:
 
 def cross_check_f(max_n: int = 14, enum_cap: int | None = None) -> CheckReport:
     """Five routes to F agree with the table entrywise: direct enumeration,
-    the power rule at 0, subsets, partial sums and the two-term recurrence."""
+    the power rule at 0, subsets, partial sums and the two-term recurrence.
+    The power rule reads the Stirling rows of ``f_table`` via ``to_monomial``,
+    so it checks the change of basis and the power rule, not the recurrence."""
     cap = _cap("direct composition sum", max_n, DEFAULT_ENUM_CAP, enum_cap)
     name, tested = "proposition1", f"0 <= k <= n <= {max_n}"
     f, recurrence = f_table(max_n), f_recurrence(max_n)
@@ -336,10 +338,10 @@ def run_check(name: str, max_n: int | None = None, enum_cap: int | None = None) 
     enumerations) in a check that declares it, as IVPOLY_ENUM_CAP does."""
     if name not in CHECK_NAMES:
         raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-    if max_n is not None and max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
-    if enum_cap is not None and enum_cap < 1:
-        raise ValueError(f"enum_cap must be >= 1, got {enum_cap}")
+    if max_n is not None and (type(max_n) is not int or max_n < 0):
+        raise ValueError(f"max_n must be >= 0, got {max_n!r}")
+    if enum_cap is not None and (type(enum_cap) is not int or enum_cap < 1):
+        raise ValueError(f"enum_cap must be >= 1, got {enum_cap!r}")
     # Looked up by name at call time, so a wrapped module attribute is seen;
     # the parameters are read from the code of the check under any wrappers
     # made with functools.wraps, which record what they wrap in __wrapped__.

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -12,9 +11,7 @@ from ivpoly import (
     basis,
     f_table,
     from_values,
-    stirling_first,
 )
-from ivpoly.binomial_poly import falling_factorials
 from golden import derivative_every_coefficient, eval_int_every_term, eval_int_loop, f_column
 
 F12 = f_table(12)
@@ -95,6 +92,9 @@ def test_derivative_matches_the_every_coefficient_loop(entries, k):
 def test_derivative_beyond_degree_is_zero():
     assert basis(3).derivative(4, f_column(F12, 4)) == BinomialPoly()
     assert BinomialPoly().derivative(2, f_column(F12, 2)) == BinomialPoly()
+    assert MonomialPoly().derivative(2) == MonomialPoly()
+    assert MonomialPoly([1, 2]).derivative(3) == MonomialPoly()
+    assert MonomialPoly().to_binomial() == BinomialPoly()
 
 
 def test_derivative_requires_covering_column():
@@ -188,12 +188,6 @@ def test_equality_ignores_the_number_type_but_not_the_basis():
     assert ints == fractions and hash(ints) == hash(fractions)
     assert BinomialPoly([1]) != MonomialPoly([1])
     assert repr(MonomialPoly([0, Fraction(1, 2)])) == "MonomialPoly([0, 1/2])"
-
-
-def test_falling_factorials_are_the_stirling_rows():
-    # Two independent recurrences: X(X-1)...(X-j+1) against s(n, k).
-    rows = list(itertools.islice(falling_factorials(), 31))
-    assert rows == [list(row) for row in stirling_first(30).rows]
 
 
 def test_monomial_round_trip_examples():

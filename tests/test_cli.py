@@ -519,11 +519,12 @@ def test_table_and_seq_import_only_what_they_run():
     assert loaded - startup & {"inspect"} == set()
 
 
-def test_the_polynomial_layer_imports_no_other_module():
-    # BinomialPoly.derivative reads a column of F, not a triangle.
+def test_the_polynomial_layer_reads_only_the_integer_rows():
+    # BinomialPoly.derivative reads a column of F, not a triangle, and
+    # to_monomial reads the integer Stirling rows of ``rows``.
     loaded = _imported_modules("-c", "import ivpoly.binomial_poly")
     ours = {name for name in loaded if name.partition(".")[0] == "ivpoly"}
-    assert ours == {"ivpoly", "ivpoly.binomial_poly"}
+    assert ours == {"ivpoly", "ivpoly.binomial_poly", "ivpoly.rows", "ivpoly.exact_arith"}
 
 
 def test_the_integer_rows_import_only_exact_arith():

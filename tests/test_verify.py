@@ -432,10 +432,15 @@ def test_run_check_rejects_unknown_name():
         ({"max_n": -3}, "max_n must be >= 0, got -3"),
         ({"enum_cap": 0}, "enum_cap must be >= 1, got 0"),
         ({"enum_cap": -1}, "enum_cap must be >= 1, got -1"),
+        ({"max_n": True}, "max_n must be >= 0, got True"),
+        ({"max_n": 3.0}, "max_n must be >= 0, got 3.0"),
+        ({"enum_cap": True}, "enum_cap must be >= 1, got True"),
+        ({"enum_cap": 5.0}, "enum_cap must be >= 1, got 5.0"),
     ],
 )
 def test_run_check_rejects_bad_range_or_cap(runner, kwargs, message):
-    # A negative range would pass vacuously, and a cap below 1 fails at n = 0.
+    # A negative range would pass vacuously, and a cap below 1 fails at n = 0;
+    # a bool or a float is not a range or a cap.
     with pytest.raises(ValueError) as excinfo:
         runner(**kwargs)
     assert str(excinfo.value) == message
